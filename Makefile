@@ -1,7 +1,7 @@
 GO ?= go
-BENCH_OUT ?= BENCH_10.json
+BENCH_OUT ?= BENCH_12.json
 
-.PHONY: all build test race bench bench-smoke bench-json bench-json-smoke alloc-guard fault-matrix load-smoke shard-smoke stream-smoke gate-smoke index-smoke fmt vet check
+.PHONY: all build test race bench bench-smoke bench-json bench-json-smoke bench-e2e-smoke alloc-guard fault-matrix load-smoke shard-smoke stream-smoke gate-smoke index-smoke surface fmt vet check
 
 all: build
 
@@ -15,8 +15,8 @@ test:
 race:
 	$(GO) test -race -short ./internal/server ./internal/wire ./internal/workstation ./internal/faults ./internal/sched ./internal/vclock ./internal/cluster ./internal/gateway ./internal/index
 
-# Resilience suite: fault injection, v1/v2 interop under faults, session
-# resync/degraded serving, and the E-FAULT experiment.
+# Resilience suite: fault injection and the fault x call-shape matrix,
+# session resync/degraded serving, and the E-FAULT experiment.
 fault-matrix:
 	$(GO) test ./internal/faults -run . -count=1
 	$(GO) test ./internal/workstation -run 'Resync|Stale|ContextCancelled' -count=1
@@ -72,10 +72,26 @@ index-smoke:
 bench-json-smoke:
 	$(GO) run ./cmd/minos-bench -benchtime 1x -out - >/dev/null
 
+# The E-E2E benchmark is a module of its own (bench/e2e), which the root
+# `go test ./...` does not descend into: vet it and run its short tests so
+# an internal/ change that stops the benchmark compiling fails the gate.
+bench-e2e-smoke:
+	cd bench/e2e && $(GO) vet . && $(GO) test -short .
+
 # Steady-state allocation guards (testing.AllocsPerRun); skipped under
 # -race, where the runtime deliberately drops sync.Pool entries.
 alloc-guard:
 	$(GO) test -run 'Alloc' -count=1 ./internal/image ./internal/voice ./internal/server ./internal/wire ./internal/cluster ./internal/gateway ./internal/index
+
+# The two tracked size numbers (ROADMAP aim 2): non-test Go lines outside
+# the benchmark, and exported names (the functions, methods, types,
+# constants and variables `go doc -all` declares) of the two packages
+# clients program against.
+surface:
+	@printf 'non-test Go lines: '; find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l
+	@for p in internal/wire internal/workstation; do \
+		printf 'exported names in %s: ' $$p; \
+		$(GO) doc -all ./$$p | grep -cE '^(func|type) |^(const|var) [A-Z]|^	[A-Z][A-Za-z0-9_]*( +=|$$)'; done
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -84,4 +100,4 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-check: fmt vet build test race fault-matrix bench-smoke alloc-guard bench-json-smoke load-smoke shard-smoke stream-smoke gate-smoke index-smoke
+check: fmt vet build test race fault-matrix bench-smoke alloc-guard bench-json-smoke bench-e2e-smoke load-smoke shard-smoke stream-smoke gate-smoke index-smoke

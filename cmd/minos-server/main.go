@@ -278,7 +278,7 @@ func buildServer(archivePath string, blocks, fillers int) (*server.Server, error
 		return nil, err
 	}
 	// A spoken object so live sessions can exercise the voice paths
-	// (preview and the v3 stream); published after the demo corpus so the
+	// (preview and stream); published after the demo corpus so the
 	// corpus ids and order stay exactly demo.Build's.
 	spoken, err := demo.SpokenObject(950, "city", 400, 7, 8000)
 	if err != nil {

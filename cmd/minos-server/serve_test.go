@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"net"
 	"os"
 	"testing"
@@ -25,12 +26,12 @@ func TestServeGracefulShutdown(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- serve(l, srv, sig, time.Minute) }()
 
-	tp, err := wire.Dial(l.Addr().String())
+	tp, err := wire.DialMux(l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := wire.NewClient(tp)
-	ids, _, err := c.List()
+	ids, _, err := c.ListCtx(context.Background())
 	if err != nil || len(ids) == 0 {
 		t.Fatalf("List = %v, %v", ids, err)
 	}
@@ -47,7 +48,7 @@ func TestServeGracefulShutdown(t *testing.T) {
 	// The well-behaved connection still works afterwards.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if _, _, err = c.List(); err == nil {
+		if _, _, err = c.ListCtx(context.Background()); err == nil {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -55,7 +56,7 @@ func TestServeGracefulShutdown(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	st, err := c.Stats()
+	st, err := c.StatsCtx(context.Background())
 	if err != nil {
 		t.Fatalf("Stats over wire: %v", err)
 	}
@@ -74,7 +75,7 @@ func TestServeGracefulShutdown(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("serve did not shut down after SIGINT")
 	}
-	if _, err := wire.Dial(l.Addr().String()); err == nil {
+	if _, err := wire.DialMux(l.Addr().String()); err == nil {
 		t.Fatal("listener still accepting after shutdown")
 	}
 }

@@ -186,6 +186,7 @@ func run(args []string) error {
 //	open [id]          present the selected (or given) object
 //	quit
 func interactive(sess *workstation.Session, r io.Reader) error {
+	ctx := context.Background()
 	sc := bufio.NewScanner(r)
 	fmt.Println("minos interactive session; 'query <terms>' to start, 'quit' to exit")
 	for sc.Scan() {
@@ -199,30 +200,29 @@ func interactive(sess *workstation.Session, r io.Reader) error {
 			return nil
 		case "query":
 			var n int
-			n, err = sess.Query(fields[1:]...)
+			n, err = sess.QueryCtx(ctx, fields[1:]...)
 			if err == nil {
 				fmt.Printf("%d qualifying objects\n", n)
-				err = sess.ShowBrowser()
+				err = sess.ShowBrowserCtx(ctx)
 			}
 		case "refine":
 			var n int
-			n, err = sess.Refine(fields[1:]...)
+			n, err = sess.RefineCtx(ctx, fields[1:]...)
 			if err == nil {
 				fmt.Printf("%d objects after refinement\n", n)
-				err = sess.ShowBrowser()
+				err = sess.ShowBrowserCtx(ctx)
 			}
 		case "cursor":
-			var id object.ID
-			var done bool
+			var st workstation.BrowseStep
 			if len(fields) > 1 && fields[1] == "prev" {
-				id, _, done, err = sess.PrevMiniature()
+				st, err = sess.PrevMiniatureCtx(ctx)
 			} else {
-				id, _, done, err = sess.NextMiniature()
+				st, err = sess.NextMiniatureCtx(ctx)
 			}
-			if err == nil && !done {
-				fmt.Printf("cursor on object %d\n", id)
-				err = sess.ShowBrowser()
-			} else if done {
+			if err == nil && !st.Done {
+				fmt.Printf("cursor on object %d\n", st.ID)
+				err = sess.ShowBrowserCtx(ctx)
+			} else if st.Done {
 				fmt.Println("end of results")
 			}
 		case "open":
@@ -267,9 +267,8 @@ func openSession(connect string, clustered bool, fillers int) (*workstation.Sess
 		return workstation.New(cc, cfg), nil, nil
 	}
 	if connect != "" {
-		// Multiplexed v2 transport (falls back to v1 lock-step during
-		// HELLO), retries on transient faults, and redials the server if
-		// the connection drops mid-session.
+		// Multiplexed transport: retries on transient faults, and redials
+		// the server if the connection drops mid-session.
 		tp, err := wire.DialMux(connect)
 		if err != nil {
 			return nil, nil, err
@@ -287,7 +286,7 @@ func openSession(connect string, clustered bool, fillers int) (*workstation.Sess
 }
 
 func listIDs(s *workstation.Session) ([]object.ID, int, error) {
-	n, err := s.Query("the") // cheap "everything-ish" query fallback
+	n, err := s.QueryCtx(context.Background(), "the") // cheap "everything-ish" query fallback
 	if err != nil {
 		return nil, 0, err
 	}

@@ -9,33 +9,29 @@
 //
 // # Wire protocol opcodes
 //
-// The workstation/server protocol (internal/wire) is versioned by the
-// HELLO handshake: v1 is the lockstep request/response framing, v2 adds
-// the correlated mux (many in-flight calls on one connection), v3 adds
-// credit-based server-push streams. Every request starts with a one-byte
-// opcode:
+// The workstation/server protocol (internal/wire) has one version. A
+// connection opens with a HELLO exchange; after it every frame carries a
+// correlation id, so many calls — and credit-based server-push streams —
+// share the connection. Every request starts with a one-byte opcode
+// (numbers 1, 4 and 6 are retired and never reused):
 //
-//	op  name              since  meaning
-//	 1  OpQuery           v1     content query → matching object ids
-//	 2  OpDescriptor      v1     fetch an object's presentation descriptor
-//	 3  OpReadPiece       v1     read (offset, length) of the archive
-//	 4  OpMiniature       v1     one encoded browse miniature
-//	 5  OpList            v1     list the archive's object ids
-//	 6  OpMode            v1     an object's presentation mode
-//	 7  OpImageView       v1     server-side image zoom/clip
-//	 8  OpVoicePreview    v1     voice preview (page-sized prefix;
-//	                             deprecated by OpVoiceStream)
-//	 9  OpStats           v1     server statistics snapshot
-//	10  OpHello           v1     version negotiation (v2+ piggybacks the
-//	                             cluster map on the ack)
-//	11  OpMiniatures      v2     batched miniatures, one frame per id
-//	12  OpClusterMap      v2     epoch-checked cluster-map fetch
-//	13  OpVoiceStream     v3     open a voice PCM server-push stream
-//	14  OpMiniatureStream v3     open a progressive miniature stream
-//	15  OpStreamCredit    v3     grant flow-control credit to a stream
-//	16  OpStreamCancel    v3     cancel an open stream
-//	17  OpQueryPlanned    v3     planned content query (AND terms +
-//	                             kind/date predicates) → sorted ids
+//	op  name              meaning
+//	 2  OpDescriptor      fetch an object's presentation descriptor
+//	 3  OpReadPiece       read (offset, length) of the archive
+//	 5  OpList            list the archive's object ids
+//	 7  OpImageView       server-side image zoom/clip
+//	 8  OpVoicePreview    voice preview (page-sized prefix)
+//	 9  OpStats           server statistics snapshot
+//	10  OpHello           opens the connection (the ack carries the
+//	                      cluster map of a fleet member)
+//	11  OpMiniatures      batched miniatures with driving modes
+//	12  OpClusterMap      epoch-checked cluster-map fetch
+//	13  OpVoiceStream     open a voice PCM server-push stream
+//	14  OpMiniatureStream open a progressive miniature stream
+//	15  OpStreamCredit    grant flow-control credit to a stream
+//	16  OpStreamCancel    cancel an open stream
+//	17  OpQueryPlanned    content query (AND terms + kind/date
+//	                      predicates) → sorted ids
 //
 // Stream frame layout, credit rules and failover-resume semantics are
 // specified in DESIGN.md §10; the planned-query grammar, segment format

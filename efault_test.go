@@ -70,7 +70,7 @@ func efaultListen(t *testing.T, srv *wire.Handler, addr string) *trackListener {
 		t.Fatal(err)
 	}
 	tl := &trackListener{Listener: l}
-	go wire.Serve(tl, srv)
+	go wire.ServeWith(tl, srv, wire.ServeOpts{})
 	return tl
 }
 
@@ -107,7 +107,7 @@ func TestEFaultResilientBrowse(t *testing.T) {
 		return core.Config{Screen: screen.New(240, 140), Clock: vclock.New()}
 	}
 
-	// --- Fault-free baseline over TCP with the v2 mux transport. ---
+	// --- Fault-free baseline over TCP with the mux transport. ---
 	tl := efaultListen(t, handler, "127.0.0.1:0")
 	tp, err := wire.DialMux(tl.Addr().String())
 	if err != nil {

@@ -1,6 +1,7 @@
 package minos
 
 import (
+	"context"
 	"net"
 	"testing"
 	"time"
@@ -29,7 +30,7 @@ const (
 // link statistics.
 func epipeBrowse(t testing.TB, sess *workstation.Session, lt *wire.LocalTransport, term string) (steps int, rts int64, linkTime time.Duration) {
 	t.Helper()
-	n, err := sess.Query(term)
+	n, err := sess.QueryCtx(context.Background(), term)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,21 +39,21 @@ func epipeBrowse(t testing.TB, sess *workstation.Session, lt *wire.LocalTranspor
 	}
 	lt.ResetStats()
 	for {
-		_, mini, done, err := sess.NextMiniature()
+		st, err := sess.NextMiniatureCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if done {
+		if st.Done {
 			break
 		}
-		if mini == nil || mini.PopCount() == 0 {
+		if st.Mini == nil || st.Mini.PopCount() == 0 {
 			t.Fatal("blank miniature during browse")
 		}
 		steps++
 	}
 	sess.Close() // drain in-flight prefetches so their traffic is counted
-	st := lt.Stats()
-	return steps, st.RoundTrips, st.LinkTime
+	ls := lt.Stats()
+	return steps, ls.RoundTrips, ls.LinkTime
 }
 
 func TestEPipeSequentialBrowse(t *testing.T) {
@@ -106,8 +107,8 @@ func TestEPipeSequentialBrowse(t *testing.T) {
 }
 
 // TestEPipeOverTCP runs the same browse end-to-end over a real TCP
-// connection with the v2 multiplexed framing and server-side read-ahead:
-// the whole pipeline, no simulation.
+// connection with the multiplexed framing and server-side read-ahead: the
+// whole pipeline, no simulation.
 func TestEPipeOverTCP(t *testing.T) {
 	corpus, err := demo.Build(1<<15, 16)
 	if err != nil {
@@ -119,14 +120,11 @@ func TestEPipeOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	go wire.Serve(l, &wire.Handler{Srv: corpus.Server})
+	go wire.ServeWith(l, &wire.Handler{Srv: corpus.Server}, wire.ServeOpts{})
 
 	tp, err := wire.DialMux(l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if tp.Version() < wire.ProtocolV2 {
-		t.Fatalf("negotiated version = %d", tp.Version())
 	}
 	tp.SetCallTimeout(10 * time.Second)
 	sess := workstation.New(wire.NewClient(tp), core.Config{
@@ -136,7 +134,7 @@ func TestEPipeOverTCP(t *testing.T) {
 	sess.EnablePrefetch(workstation.PrefetchConfig{Depth: epipeDepth, Batch: epipeBatch})
 	defer sess.Close()
 
-	n, err := sess.Query("heart")
+	n, err := sess.QueryCtx(context.Background(), "heart")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,14 +143,14 @@ func TestEPipeOverTCP(t *testing.T) {
 	}
 	steps := 0
 	for {
-		_, mini, done, err := sess.NextMiniature()
+		st, err := sess.NextMiniatureCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if done {
+		if st.Done {
 			break
 		}
-		if mini == nil || mini.PopCount() == 0 {
+		if st.Mini == nil || st.Mini.PopCount() == 0 {
 			t.Fatal("blank miniature over TCP")
 		}
 		steps++
@@ -185,24 +183,24 @@ func BenchmarkEPipeBrowse(b *testing.B) {
 			if prefetch {
 				sess.EnablePrefetch(workstation.PrefetchConfig{Depth: epipeDepth, Batch: epipeBatch})
 			}
-			if _, err := sess.Query("lung"); err != nil {
+			if _, err := sess.QueryCtx(context.Background(), "lung"); err != nil {
 				b.Fatal(err)
 			}
 			lt.ResetStats()
 			for {
-				_, _, done, err := sess.NextMiniature()
+				st, err := sess.NextMiniatureCtx(context.Background())
 				if err != nil {
 					b.Fatal(err)
 				}
-				if done {
+				if st.Done {
 					break
 				}
 				steps++
 			}
 			sess.Close()
-			st := lt.Stats()
-			rts += st.RoundTrips
-			linkTime += st.LinkTime
+			ls := lt.Stats()
+			rts += ls.RoundTrips
+			linkTime += ls.LinkTime
 		}
 		b.ReportMetric(float64(rts)/float64(steps), "RTs/object")
 		b.ReportMetric(float64(linkTime.Microseconds())/float64(steps)/1000, "link-ms/object")

@@ -7,7 +7,7 @@ import (
 	"minos/internal/loadgen"
 )
 
-// E-STREAM: streaming delivery over the v2 mux vs the batch path, on the
+// E-STREAM: streaming delivery over the mux vs the batch path, on the
 // simulated 10 Mbit/s link (§4.2's interactive-response argument applied
 // to long media). Four claims gated here, matching EXPERIMENTS.md:
 //

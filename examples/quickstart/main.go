@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -61,12 +62,13 @@ The archive stores the descriptor concatenated with the composition file. The se
 	defer sess.Close()
 
 	// 4. Query by content and open the result.
-	n, err := sess.Query("optical", "disk")
+	ctx := context.Background()
+	n, err := sess.QueryCtx(ctx, "optical", "disk")
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("query 'optical disk' matched %d object(s)\n", n)
-	if _, _, _, err := sess.NextMiniature(); err != nil {
+	if _, err := sess.NextMiniatureCtx(ctx); err != nil {
 		log.Fatal(err)
 	}
 	if err := sess.OpenSelected(); err != nil {

@@ -1,6 +1,7 @@
 package minos
 
 import (
+	"context"
 	"net"
 	"testing"
 	"time"
@@ -28,35 +29,38 @@ func TestEndToEndOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	go wire.Serve(l, &wire.Handler{Srv: corpus.Server})
+	go wire.ServeWith(l, &wire.Handler{Srv: corpus.Server}, wire.ServeOpts{})
 
-	tp, err := wire.Dial(l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
+	dial := func() *wire.Client {
+		tp, err := wire.DialMux(l.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wire.NewClient(tp)
 	}
-	sess := workstation.New(wire.NewClient(tp), core.Config{
+	sess := workstation.New(dial(), core.Config{
 		Screen: screen.New(512, 342),
 		Clock:  vclock.New(),
 	})
 	defer sess.Close()
 
 	// Query → sequential miniature browsing.
-	n, err := sess.Query("subway")
+	n, err := sess.QueryCtx(context.Background(), "subway")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n == 0 {
 		t.Fatal("no subway hits")
 	}
-	id, mini, done, err := sess.NextMiniature()
-	if err != nil || done {
-		t.Fatalf("miniature: %v %v", done, err)
+	st, err := sess.NextMiniatureCtx(context.Background())
+	if err != nil || st.Done {
+		t.Fatalf("miniature: %v %v", st.Done, err)
 	}
-	if mini.PopCount() == 0 {
+	if st.Mini.PopCount() == 0 {
 		t.Fatal("blank miniature")
 	}
-	if id != corpus.FigureIDs["fig78"] {
-		t.Fatalf("first hit = %d, want the subway map", id)
+	if st.ID != corpus.FigureIDs["fig78"] {
+		t.Fatalf("first hit = %d, want the subway map", st.ID)
 	}
 
 	// Present it and navigate into a relevant object over the wire.
@@ -87,24 +91,15 @@ func TestEndToEndOverTCP(t *testing.T) {
 	}
 
 	// Views over the wire ship only the rectangle.
-	c := wire.NewClient(mustDial(t, l.Addr().String()))
+	c := dial()
 	defer c.Close()
-	view, _, err := c.ImageView(corpus.FigureIDs["bigmap"], "roadmap", img.Rect{X: 50, Y: 50, W: 64, H: 48})
+	view, _, err := c.ImageViewCtx(context.Background(), corpus.FigureIDs["bigmap"], "roadmap", img.Rect{X: 50, Y: 50, W: 64, H: 48})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if view.W != 64 || view.H != 48 {
 		t.Fatalf("view = %dx%d", view.W, view.H)
 	}
-}
-
-func mustDial(t *testing.T, addr string) *wire.TCPTransport {
-	t.Helper()
-	tp, err := wire.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tp
 }
 
 // TestFullPipelineFigureObjects archives every figure object through the

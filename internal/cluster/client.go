@@ -179,7 +179,7 @@ func (c *Client) Close() error {
 }
 
 // conn returns the pooled connection to endpoint, dialing it on first use.
-// One multiplexed connection per endpoint is the pool: protocol v2 carries
+// One multiplexed connection per endpoint is the pool: the protocol carries
 // any number of in-flight calls per connection, so the pool's job is reuse
 // and shared retry state, not connection fan-out.
 func (c *Client) conn(endpoint string) (*wire.Client, error) {

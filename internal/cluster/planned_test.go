@@ -3,6 +3,8 @@ package cluster_test
 import (
 	"context"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"minos/internal/demo"
@@ -85,5 +87,36 @@ func TestQueryPlannedFailover(t *testing.T) {
 	}
 	if c.Failovers() == 0 {
 		t.Fatal("no failovers recorded despite a dead primary")
+	}
+}
+
+// TestQueryTermOnlyRouted: the term-only entry point is a planned query
+// without predicates on every shard connection, so through a 3-shard fleet
+// it still answers exactly what one unsharded server's own Query does — for
+// no terms, one term and a conjunction — and inherits MaxQueryTerms.
+func TestQueryTermOnlyRouted(t *testing.T) {
+	ctx := context.Background()
+	single, err := demo.Build(1<<15, 40)
+	if err != nil {
+		t.Fatalf("demo.Build: %v", err)
+	}
+	f, _, _ := buildFleet(t, 3, false)
+	c := dialFleet(t, f)
+
+	for _, terms := range [][]string{nil, {"hospital"}, {"lung", "shadow"}, {"absent"}} {
+		got, _, err := c.QueryCtx(ctx, terms...)
+		if err != nil {
+			t.Fatalf("routed Query(%v): %v", terms, err)
+		}
+		if want := single.Server.Query(terms...); !slices.Equal(got, want) {
+			t.Fatalf("routed Query(%v) = %v, want %v", terms, got, want)
+		}
+	}
+	wide := make([]string, wire.MaxQueryTerms+1)
+	for i := range wide {
+		wide[i] = "lung"
+	}
+	if _, _, err := c.QueryCtx(ctx, wide...); err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("routed %d-term query error = %v, want the MaxQueryTerms rejection", len(wide), err)
 	}
 }

@@ -414,10 +414,10 @@ func (h *Hub) MiniaturePNG(ctx context.Context, sid uint64, id object.ID) ([]byt
 }
 
 // Progressive streams an object's miniature coarse-first, pushing a pass
-// event (with the accumulating frame as PNG) per landed pass. Peers
-// without the v3 stream feature fall back to a single complete pass. The
-// completed frame lands in the PNG cache, so the browse that follows the
-// progressive preview serves warm.
+// event (with the accumulating frame as PNG) per landed pass. Backends
+// whose transport cannot open streams fall back to a single complete pass.
+// The completed frame lands in the PNG cache, so the browse that follows
+// the progressive preview serves warm.
 func (h *Hub) Progressive(ctx context.Context, sid uint64, id object.ID) (workstation.ProgressivePaint, error) {
 	s, err := h.get(sid)
 	if err != nil {

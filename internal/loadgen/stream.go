@@ -31,7 +31,7 @@ import (
 //  1. Voice: a >=10 s spoken part is played through the workstation's
 //     streaming session on a virtual clock. Time-to-first-audio (the first
 //     chunk's modelled arrival) is compared against the batch path's
-//     full-download time — the single frame the legacy preview op would
+//     full-download time — the single frame a whole-part batch op would
 //     have shipped. The play-out runs on the same clock, so the underrun
 //     count is a bit-exact measurement.
 //  2. Progressive browse screen: every miniature of a result screen is

@@ -104,9 +104,8 @@ type Server struct {
 }
 
 // encodedMini is one encoded-frame cache entry: the descriptor-encoded
-// miniature payload (a read-only shared slice — both wire protocol versions
-// carry this same payload encoding, so one entry serves v1 and v2) plus the
-// driving mode the reply framing needs.
+// miniature payload (a read-only shared slice) plus the driving mode the
+// reply framing needs.
 type encodedMini struct {
 	payload []byte
 	mode    object.Mode
@@ -305,7 +304,7 @@ const PreviewSeconds = 5
 // page-sized prefix). The time cap alone scales with the part's recorded
 // rate, so a part with a hostile or corrupt rate could drive PreviewSeconds
 // worth of it into one unbounded wire frame; the absolute cap bounds the
-// legacy OpVoicePreview response no matter what the part claims. At sane
+// OpVoicePreview response no matter what the part claims. At sane
 // rates (the canonical 8 kHz) the time cap is far below this and previews
 // are byte-for-byte what they always were.
 const maxPreviewSamples = voice.SampleRate * int(voice.DefaultPageLength/time.Second)

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"context"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -13,7 +14,7 @@ func BenchmarkLocalRoundTrip(b *testing.B) {
 	c, _ := localClient(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := c.Query("lung"); err != nil {
+		if _, _, err := c.QueryCtx(context.Background(), "lung"); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -23,20 +24,18 @@ func BenchmarkDescriptorFetch(b *testing.B) {
 	c, _ := localClient(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := c.Descriptor(1); err != nil {
+		if _, _, err := c.DescriptorCtx(context.Background(), 1); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// benchConcurrentPieceReads measures cache-hit piece-read throughput over
-// TCP with 8 concurrent client connections — the wall-clock half of the
-// E-CONC experiment (the vclock half is TestSimulateContentionModels).
-// With serialize=true every request queues behind one global handler lock
-// (the seed behaviour); with serialize=false requests are served in
-// parallel. The wall-clock gap scales with available cores, since a
-// cache-hit handler is pure CPU.
-func benchConcurrentPieceReads(b *testing.B, serialize bool) {
+// BenchmarkServePieceReads8ClientsParallel measures cache-hit piece-read
+// throughput over TCP with 8 concurrent client connections — the wall-clock
+// half of the E-CONC experiment (the vclock half is
+// TestSimulateContentionModels). Throughput scales with available cores,
+// since a cache-hit handler is pure CPU.
+func BenchmarkServePieceReads8ClientsParallel(b *testing.B) {
 	srv := testServer(b)
 	const (
 		region  = 128 * 2048 // warmed byte range (fits the 256-block cache)
@@ -51,11 +50,11 @@ func benchConcurrentPieceReads(b *testing.B, serialize bool) {
 		b.Fatal(err)
 	}
 	defer l.Close()
-	go ServeWith(l, &Handler{Srv: srv}, ServeOpts{Serialize: serialize})
+	go ServeWith(l, &Handler{Srv: srv}, ServeOpts{})
 
 	cs := make([]*Client, clients)
 	for i := range cs {
-		tp, err := Dial(l.Addr().String())
+		tp, err := DialMux(l.Addr().String())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -78,7 +77,7 @@ func benchConcurrentPieceReads(b *testing.B, serialize bool) {
 					return
 				}
 				off := uint64(i*piece) % (region - piece)
-				if _, _, err := c.ReadPiece(off, piece); err != nil {
+				if _, _, err := c.ReadPieceCtx(context.Background(), off, piece); err != nil {
 					b.Error(err)
 					return
 				}
@@ -86,14 +85,6 @@ func benchConcurrentPieceReads(b *testing.B, serialize bool) {
 		}(c)
 	}
 	wg.Wait()
-}
-
-func BenchmarkServePieceReads8ClientsSerialized(b *testing.B) {
-	benchConcurrentPieceReads(b, true)
-}
-
-func BenchmarkServePieceReads8ClientsParallel(b *testing.B) {
-	benchConcurrentPieceReads(b, false)
 }
 
 // BenchmarkMiniatureServeWarm measures the steady-state server handler path
@@ -112,6 +103,6 @@ func BenchmarkMiniatureServeWarm(b *testing.B) {
 		if resp[0] != statusOK {
 			b.Fatal("bad response")
 		}
-		recycleResponse(resp) // as the serve loops do after the write
+		recycleResponse(resp) // as the serve loop does after the write
 	}
 }

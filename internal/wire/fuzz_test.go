@@ -2,8 +2,11 @@ package wire
 
 import (
 	"bytes"
+	"context"
 	"sync"
 	"testing"
+
+	"minos/internal/index"
 )
 
 // fuzzHandler is built once per fuzz process: the server is
@@ -22,19 +25,21 @@ func fuzzHandler(t testing.TB) *Handler {
 // FuzzHandleRequest feeds arbitrary request bytes to the protocol handler:
 // it must always return a response (ok or error), never panic, and never
 // let a client-controlled count or length drive an oversized allocation.
-// The seed corpus covers every op plus the historic crashers: a ReadPiece
-// length beyond the device (makeslice overflow) and a Query term count in
-// the billions (preallocation overflow).
+// The seed corpus covers every op, the retired op numbers 1, 4 and 6 (which
+// must answer "unknown op" whatever follows them) and the historic
+// crashers: a ReadPiece length beyond the device (makeslice overflow) and a
+// query term count in the billions (preallocation overflow).
 func FuzzHandleRequest(f *testing.F) {
 	// Well-formed requests for every op, mirroring the client encoders.
 	f.Add([]byte{OpList})
 	f.Add([]byte{OpStats})
 	f.Add(appendU64([]byte{OpDescriptor}, 1))
-	f.Add(appendU64([]byte{OpMiniature}, 3))
+	f.Add(appendU64([]byte{4}, 3)) // retired single-shot miniature
 	f.Add(appendU64([]byte{OpVoicePreview}, 3))
-	f.Add(appendU64([]byte{OpMode}, 3))
+	f.Add(appendU64([]byte{6}, 3)) // retired single-shot mode
 	f.Add(appendU64(appendU64([]byte{OpReadPiece}, 0), 4096))
-	f.Add(appendStr(appendU32([]byte{OpQuery}, 1), "lung"))
+	f.Add(appendStr(appendU32([]byte{1}, 1), "lung")) // retired term-only query
+	f.Add(encodeQueryPlannedReq(index.Query{Terms: []string{"lung"}, Kind: index.KindVisual}))
 	viewReq := appendStr(appendU64([]byte{OpImageView}, 3), "map")
 	for _, v := range []uint32{0, 0, 50, 50} {
 		viewReq = appendU32(viewReq, v)
@@ -43,13 +48,16 @@ func FuzzHandleRequest(f *testing.F) {
 	// Historic crashers and malformed frames.
 	f.Add(appendU64(appendU64([]byte{OpReadPiece}, 1<<60), 1<<60)) // off+len overflow
 	f.Add(appendU64(appendU64([]byte{OpReadPiece}, 0), 1<<40))     // len beyond device
-	f.Add(appendU32([]byte{OpQuery}, 0xffffffff))                  // 4 G terms claimed
-	f.Add([]byte{OpDescriptor, 1, 2})                              // truncated id
+	f.Add(appendU32([]byte{1}, 0xffffffff))                        // 4 G terms claimed of a retired op
+	f.Add(appendU32(append([]byte{OpQueryPlanned}, make([]byte, 9)...), 0xffffffff))
+	f.Add([]byte{OpDescriptor, 1, 2}) // truncated id
 	f.Add([]byte{})
 	f.Add([]byte{99})
-	// Protocol v2 ops.
-	f.Add(appendU32([]byte{OpHello}, ProtocolV2))
-	f.Add(appendU32([]byte{OpHello}, 0))          // version below minimum
+	f.Add([]byte{1})
+	f.Add([]byte{4})
+	f.Add([]byte{6})
+	f.Add(appendU32([]byte{OpHello}, protocolVersion))
+	f.Add(appendU32([]byte{OpHello}, 2))          // a version nothing speaks
 	f.Add(appendU32([]byte{OpHello}, 0xffffffff)) // absurd version claim
 	batchReq := appendU32([]byte{OpMiniatures}, 3)
 	for _, id := range []uint64{3, 42, 1} {
@@ -67,6 +75,11 @@ func FuzzHandleRequest(f *testing.F) {
 		}
 		if resp[0] != statusOK && resp[0] != statusErr {
 			t.Fatalf("response status %d", resp[0])
+		}
+		if len(req) > 0 && (req[0] == 1 || req[0] == 4 || req[0] == 6) {
+			if resp[0] != statusErr || !bytes.Contains(resp[respHeader:], []byte("unknown op")) {
+				t.Fatalf("retired op %d answered %q, want unknown op", req[0], resp)
+			}
 		}
 	})
 }
@@ -122,13 +135,13 @@ func FuzzClientResponse(f *testing.F) {
 	f.Add([]byte{statusOK})
 	f.Fuzz(func(t *testing.T, resp []byte) {
 		c := NewClient(&staticTransport{resp: resp})
-		c.List()  // id-list decoding
-		c.Stats() // stats decoding
-		c.Mode(1) // fixed-size payload decoding
+		c.ListCtx(context.Background())    // id-list decoding
+		c.StatsCtx(context.Background())   // stats decoding
+		c.ModeCtx(context.Background(), 1) // fixed-size payload decoding
 	})
 }
 
-// FuzzMuxDemux drives the v2 frame demultiplexer with hostile frames:
+// FuzzMuxDemux drives the frame demultiplexer with hostile frames:
 // truncated, unknown-id and duplicate frames must be dropped without
 // panicking, every registered call must be resolved exactly once (by
 // delivery or by failAll), and the pending table must end empty — a leak

@@ -13,22 +13,15 @@ import (
 	"minos/internal/pool"
 )
 
-// Protocol versions negotiated by the HELLO op. Version 1 is the original
-// lock-step protocol: one frame out, one frame back, strictly alternating.
-// Version 2 multiplexes many in-flight exchanges over one connection by
-// prefixing every frame (in both directions) with a 4-byte correlation id,
-// which is what lets the browse prefetch pipeline overlap delivery with
-// viewing instead of paying a full link round trip per cursor step.
-// Version 3 keeps v2's framing and adds server-push streams (see
-// stream.go): one correlation id may carry a whole sequence of stream
-// frames under credit-based flow control. Peers that negotiate v2 or v1
-// keep the single-frame paths byte for byte — stream ops are simply never
-// sent to them.
-const (
-	ProtocolV1 = 1
-	ProtocolV2 = 2
-	ProtocolV3 = 3
-)
+// protocolVersion is the one protocol version both ends speak. A connection
+// opens with a lock-step HELLO exchange naming it; every later frame, in
+// both directions, is prefixed with a 4-byte correlation id, so many
+// exchanges are in flight at once over the one connection — which is what
+// lets the browse prefetch pipeline overlap delivery with viewing instead
+// of paying a full link round trip per cursor step. One correlation id may
+// also carry a server-push stream: a whole sequence of frames under
+// credit-based flow control (see stream.go).
+const protocolVersion = 3
 
 // Errors surfaced by pipelined calls.
 var (
@@ -48,9 +41,8 @@ type Pending interface {
 }
 
 // Pipeliner is a Transport that can carry many concurrent exchanges at
-// once. Transports that cannot (the lock-step TCPTransport) are adapted by
-// the client with a goroutine per call, which still overlaps the caller but
-// serializes on the wire.
+// once. Transports that cannot (a fault-injecting wrapper, say) are adapted
+// by the client with a goroutine per call.
 type Pipeliner interface {
 	Transport
 	Start(req []byte) Pending
@@ -63,7 +55,7 @@ type muxResult struct {
 	err  error
 }
 
-// demux routes v2 response frames to the pending call with the matching
+// demux routes response frames to the pending call with the matching
 // correlation id. It is deliberately self-contained (no net.Conn) so the
 // fuzz target can drive it with hostile frames directly: truncated,
 // duplicate and unknown-id frames must be dropped without panicking and
@@ -131,7 +123,7 @@ func (d *demux) removeStream(id uint32) {
 	d.mu.Unlock()
 }
 
-// deliver routes one raw v2 frame ([4-byte id][response]) to its pending
+// deliver routes one raw frame ([4-byte id][response]) to its pending
 // call or open stream. It reports whether the frame found a home; short
 // frames and unknown or already-completed ids are dropped.
 func (d *demux) deliver(frame []byte) bool {
@@ -200,15 +192,11 @@ func (d *demux) pendingLen() int {
 
 // --- client-side multiplexed transport ---
 
-// MuxTransport runs the protocol over a net.Conn with v2 multiplexed
-// framing when the server supports it: any number of calls may be in
-// flight concurrently on the one connection, each with its own correlation
-// id and optional per-call timeout. Against a v1 server the HELLO is
-// rejected and the transport degrades to serialized lock-step exchanges,
-// so old servers keep working.
+// MuxTransport runs the protocol over a net.Conn: any number of calls and
+// streams may be in flight concurrently on the one connection, each with
+// its own correlation id and optional per-call timeout.
 type MuxTransport struct {
-	conn    net.Conn
-	version int
+	conn net.Conn
 	// helloExtra is the opaque payload the server appended to its HELLO
 	// ack (a fleet member's encoded cluster map); nil otherwise.
 	helloExtra []byte
@@ -216,85 +204,58 @@ type MuxTransport struct {
 	// callTimeout (nanoseconds) bounds each call; 0 = wait forever.
 	callTimeout atomic.Int64
 
-	// v2 state.
 	writeMu sync.Mutex
 	d       *demux
 	nextID  atomic.Uint32
-
-	// v1 fallback state: lock-step exchanges under one mutex.
-	legacyMu sync.Mutex
 }
 
-// DialMux connects to a wire server and negotiates the protocol version
-// with a HELLO. A v2 server upgrades the connection to multiplexed framing;
-// a v1 server (which answers HELLO with an unknown-op error) leaves the
-// transport in lock-step mode.
+// DialMux connects to a wire server and opens the connection with a HELLO.
+// Anything but a well-formed acknowledgement of protocolVersion fails the
+// dial with an error wrapping ErrTransportClosed: the connection is
+// useless, and a reconnecting client should simply dial again.
 func DialMux(addr string) (*MuxTransport, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	m := &MuxTransport{conn: conn, version: ProtocolV1}
-	hello := appendU32([]byte{OpHello}, ProtocolV3)
-	if err := WriteFrame(conn, hello); err != nil {
+	extra, err := hello(conn)
+	if err != nil {
 		conn.Close()
+		return nil, fmt.Errorf("%w: hello: %w", ErrTransportClosed, err)
+	}
+	m := &MuxTransport{conn: conn, helloExtra: extra, d: newDemux()}
+	go m.readLoop()
+	return m, nil
+}
+
+// hello performs the client side of the opening exchange and returns the
+// payload the server attached to its acknowledgement: an optional
+// length-prefixed blob after the version word (nil when absent or damaged).
+func hello(conn net.Conn) (extra []byte, err error) {
+	if err := WriteFrame(conn, appendU32([]byte{OpHello}, protocolVersion)); err != nil {
 		return nil, err
 	}
 	resp, err := ReadFrame(conn)
 	if err != nil {
-		conn.Close()
 		return nil, err
 	}
-	if v, perr := parseHelloResponse(resp); perr == nil && v >= ProtocolV2 {
-		// Honour the server's negotiated version (capped at what we asked
-		// for): v2 servers get a pure-v2 client that never sends stream ops.
-		m.version = min(v, ProtocolV3)
-		m.helloExtra = parseHelloExtra(resp)
-		m.d = newDemux()
-		go m.readLoop()
-	}
-	// Any HELLO failure (a v1 server answers "unknown op") falls back to
-	// lock-step: the connection is still a perfectly good v1 transport.
-	return m, nil
-}
-
-// parseHelloResponse extracts the negotiated version from a HELLO response.
-func parseHelloResponse(resp []byte) (int, error) {
 	payload, _, err := parseResponse(resp)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	c := &cursor{data: payload}
 	v, err := c.u32()
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	return int(v), nil
+	if v != protocolVersion {
+		return nil, fmt.Errorf("wire: server acknowledged protocol version %d, want %d", v, protocolVersion)
+	}
+	if n, err := c.u32(); err == nil && int(n) <= len(c.rest()) {
+		extra = append([]byte(nil), c.rest()[:n]...)
+	}
+	return extra, nil
 }
-
-// parseHelloExtra extracts the optional length-prefixed payload a server
-// appended after the version word of its HELLO ack (the cluster map), or
-// nil when absent or damaged.
-func parseHelloExtra(resp []byte) []byte {
-	payload, _, err := parseResponse(resp)
-	if err != nil {
-		return nil
-	}
-	c := &cursor{data: payload}
-	if _, err := c.u32(); err != nil { // version word
-		return nil
-	}
-	n, err := c.u32()
-	if err != nil || c.pos+int(n) > len(payload) {
-		return nil
-	}
-	extra := make([]byte, n)
-	copy(extra, payload[c.pos:c.pos+int(n)])
-	return extra
-}
-
-// Version reports the negotiated protocol version.
-func (m *MuxTransport) Version() int { return m.version }
 
 // HelloExtra returns the opaque payload the server attached to its HELLO
 // acknowledgement — a sharded fleet member attaches its encoded cluster map
@@ -304,8 +265,18 @@ func (m *MuxTransport) HelloExtra() []byte { return m.helloExtra }
 
 // SetCallTimeout bounds every subsequent call (write + wait for response);
 // zero waits forever. A timed-out call fails with ErrCallTimeout while the
-// connection stays usable.
-func (m *MuxTransport) SetCallTimeout(d time.Duration) { m.callTimeout.Store(int64(d)) }
+// connection stays usable. Start arms the connection's write deadline per
+// call only while a timeout is set, so switching the timeout off clears the
+// last armed deadline here rather than on every call. It takes the write
+// lock, so it may wait for a frame write already in progress.
+func (m *MuxTransport) SetCallTimeout(d time.Duration) {
+	m.writeMu.Lock()
+	m.callTimeout.Store(int64(d))
+	if d <= 0 {
+		m.conn.SetWriteDeadline(time.Time{})
+	}
+	m.writeMu.Unlock()
+}
 
 // readLoop is the single reader demultiplexing response frames; on any
 // read error it fails every pending call and poisons the transport.
@@ -320,7 +291,7 @@ func (m *MuxTransport) readLoop() {
 	}
 }
 
-// muxPending is a v2 in-flight call.
+// muxPending is an in-flight call.
 type muxPending struct {
 	m       *muxPendingState
 	timeout time.Duration
@@ -381,31 +352,14 @@ type errPending struct{ err error }
 func (p errPending) Wait() ([]byte, error) { return nil, p.err }
 
 // Start implements Pipeliner: it sends the request and returns immediately;
-// Wait collects the response. In lock-step fallback mode the exchange runs
-// serialized in a goroutine, preserving Start's non-blocking contract.
+// Wait collects the response.
 func (m *MuxTransport) Start(req []byte) Pending {
-	timeout := time.Duration(m.callTimeout.Load())
-	if m.version < ProtocolV2 {
-		ch := make(chan muxResult, 1)
-		go func() {
-			resp, err := m.legacyRoundTrip(req, timeout)
-			ch <- muxResult{resp: resp, err: err}
-		}()
-		return &muxPending{m: &muxPendingState{ch: ch}}
-	}
 	id := m.nextID.Add(1)
 	ch, err := m.d.register(id)
 	if err != nil {
 		return errPending{err: err}
 	}
-	out := muxFrame(id, req)
-	m.writeMu.Lock()
-	if timeout > 0 {
-		m.conn.SetWriteDeadline(time.Now().Add(timeout))
-	}
-	_, werr := m.conn.Write(out)
-	m.writeMu.Unlock()
-	pool.Bytes.Put(out)
+	timeout, werr := m.sendFrame(id, req)
 	if werr != nil {
 		m.d.cancel(id)
 		return errPending{err: werr}
@@ -413,7 +367,24 @@ func (m *MuxTransport) Start(req []byte) Pending {
 	return &muxPending{m: &muxPendingState{d: m.d, id: id, ch: ch}, timeout: timeout}
 }
 
-// muxFrame stages one v2 frame — [length u32][correlation id u32][msg] — in
+// sendFrame sends one request frame under the write lock, arming the write
+// deadline when a call timeout is set (read under the same lock, so a
+// concurrent SetCallTimeout(0) cannot be overtaken by a stale deadline). It
+// returns the call timeout the frame was sent under.
+func (m *MuxTransport) sendFrame(id uint32, req []byte) (time.Duration, error) {
+	out := muxFrame(id, req)
+	m.writeMu.Lock()
+	timeout := time.Duration(m.callTimeout.Load())
+	if timeout > 0 {
+		m.conn.SetWriteDeadline(time.Now().Add(timeout))
+	}
+	_, err := m.conn.Write(out)
+	m.writeMu.Unlock()
+	pool.Bytes.Put(out)
+	return timeout, err
+}
+
+// muxFrame stages one frame — [length u32][correlation id u32][msg] — in
 // an exactly-sized pooled buffer, so the whole frame goes out in a single
 // Write. The caller owns the result and recycles it after the write.
 func muxFrame(id uint32, msg []byte) []byte {
@@ -424,22 +395,9 @@ func muxFrame(id uint32, msg []byte) []byte {
 	return out
 }
 
-// legacyRoundTrip is the v1 lock-step exchange with deadlines.
-func (m *MuxTransport) legacyRoundTrip(req []byte, timeout time.Duration) ([]byte, error) {
-	m.legacyMu.Lock()
-	defer m.legacyMu.Unlock()
-	if timeout > 0 {
-		m.conn.SetDeadline(time.Now().Add(timeout))
-	}
-	if err := WriteFrame(m.conn, req); err != nil {
-		return nil, err
-	}
-	return ReadFrame(m.conn)
-}
-
 // StartCtx implements ContextPipeliner: the in-flight call additionally
 // fails with the context's error when ctx ends before the response. A
-// cancelled v2 call releases its pending slot and any late response is
+// cancelled call releases its pending slot and any late response is
 // discarded by the demultiplexer; the connection stays usable.
 func (m *MuxTransport) StartCtx(ctx context.Context, req []byte) Pending {
 	if err := ctx.Err(); err != nil {
@@ -452,8 +410,8 @@ func (m *MuxTransport) StartCtx(ctx context.Context, req []byte) Pending {
 	return p
 }
 
-// RoundTrip implements Transport; it is safe for concurrent use and, in v2
-// mode, concurrent calls really are in flight together on the wire.
+// RoundTrip implements Transport; it is safe for concurrent use, and
+// concurrent calls really are in flight together on the wire.
 func (m *MuxTransport) RoundTrip(req []byte) ([]byte, error) {
 	return m.Start(req).Wait()
 }
@@ -463,38 +421,33 @@ func (m *MuxTransport) RoundTripCtx(ctx context.Context, req []byte) ([]byte, er
 	return m.StartCtx(ctx, req).Wait()
 }
 
-// PendingCalls reports the number of in-flight v2 calls still awaiting a
-// response (always 0 in lock-step fallback mode). The fault-matrix tests
-// use it to assert that faults never leak pending-call table entries.
-func (m *MuxTransport) PendingCalls() int {
-	if m.d == nil {
-		return 0
-	}
-	return m.d.pendingLen()
-}
+// PendingCalls reports the number of in-flight calls still awaiting a
+// response. The fault-matrix tests use it to assert that faults never leak
+// pending-call table entries.
+func (m *MuxTransport) PendingCalls() int { return m.d.pendingLen() }
 
-// Close implements Transport; pending v2 calls fail with ErrTransportClosed.
+// Close implements Transport; pending calls fail with ErrTransportClosed.
 func (m *MuxTransport) Close() error { return m.conn.Close() }
 
 // --- server side ---
 
-// maxConnInFlight bounds concurrently-served requests per v2 connection;
+// maxConnInFlight bounds concurrently-served requests per connection;
 // the read loop blocks (natural backpressure) when a client keeps more in
 // flight than that.
 const maxConnInFlight = 64
 
-// muxConn serves one upgraded v2+ connection: each request frame is handled
-// on its own goroutine and its response written back tagged with the
-// request's correlation id, so slow (device-bound) requests do not block
-// fast (cache-hit) ones behind head-of-line. On a v3-negotiated connection
-// stream ops get dedicated handling: credit and cancel frames are applied
-// inline by the read loop (they must never queue behind data production),
-// and stream producers run on goroutines outside the in-flight semaphore —
-// they are paced by their credit windows, and letting them hold semaphore
-// slots for a stream's lifetime would starve (or deadlock) batched calls.
-// Returns when the connection dies, after cancelling open streams and
-// draining in-flight handlers.
-func muxConn(conn net.Conn, tenant uint64, version int, h *Handler, opts ServeOpts, serialMu *sync.Mutex, logf func(format string, args ...any)) {
+// muxConn serves one connection after its HELLO exchange: each request frame
+// is handled on its own goroutine and its response written back tagged with
+// the request's correlation id, so slow (device-bound) requests do not block
+// fast (cache-hit) ones behind head-of-line. Stream ops get dedicated
+// handling: credit and cancel frames are applied inline by the read loop
+// (they must never queue behind data production), and stream producers run
+// on goroutines outside the in-flight semaphore — they are paced by their
+// credit windows, and letting them hold semaphore slots for a stream's
+// lifetime would starve (or deadlock) batched calls. Returns when the
+// connection dies, after cancelling open streams and draining in-flight
+// handlers.
+func muxConn(conn net.Conn, tenant uint64, h *Handler, opts ServeOpts, logf func(format string, args ...any)) {
 	var (
 		writeMu sync.Mutex
 		wg      sync.WaitGroup
@@ -516,11 +469,11 @@ func muxConn(conn net.Conn, tenant uint64, version int, h *Handler, opts ServeOp
 			return
 		}
 		if len(frame) < 4 {
-			logf("wire: %s: short v2 frame (%d bytes)", conn.RemoteAddr(), len(frame))
+			logf("wire: %s: short frame (%d bytes)", conn.RemoteAddr(), len(frame))
 			return
 		}
 		id := binary.BigEndian.Uint32(frame)
-		if version >= ProtocolV3 && len(frame) >= 5 {
+		if len(frame) >= 5 {
 			switch frame[4] {
 			case OpStreamCredit:
 				if len(frame) >= 9 {
@@ -554,15 +507,7 @@ func muxConn(conn net.Conn, tenant uint64, version int, h *Handler, opts ServeOp
 		go func(id uint32, frame []byte) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			req := frame[4:]
-			var resp []byte
-			if opts.Serialize {
-				serialMu.Lock()
-				resp = h.HandleAs(tenant, req)
-				serialMu.Unlock()
-			} else {
-				resp = h.HandleAs(tenant, req)
-			}
+			resp := h.HandleAs(tenant, frame[4:])
 			pool.Bytes.Put(frame) // Handle copies what it keeps
 			out := muxFrame(id, resp)
 			writeMu.Lock()

@@ -1,9 +1,12 @@
 package wire
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -11,8 +14,8 @@ import (
 	"minos/internal/object"
 )
 
-// serveTCP starts a v2-capable wire server on a loopback listener and
-// returns its address.
+// serveTCP starts a wire server on a loopback listener and returns its
+// address.
 func serveTCP(t testing.TB) string {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -20,7 +23,7 @@ func serveTCP(t testing.TB) string {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
-	go Serve(l, &Handler{Srv: testServer(t)})
+	go ServeWith(l, &Handler{Srv: testServer(t)}, ServeOpts{})
 	return l.Addr().String()
 }
 
@@ -31,11 +34,11 @@ func TestMuxNegotiation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tp.Close()
-	if tp.Version() != ProtocolV3 {
-		t.Fatalf("negotiated version = %d, want %d", tp.Version(), ProtocolV3)
+	if extra := tp.HelloExtra(); extra != nil {
+		t.Fatalf("stand-alone server attached %d bytes to its HELLO ack", len(extra))
 	}
 	c := NewClient(tp)
-	ids, _, err := c.Query("lung")
+	ids, _, err := c.QueryCtx(context.Background(), "lung")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +67,7 @@ func TestMuxConcurrentInFlight(t *testing.T) {
 			for i := 0; i < 8; i++ {
 				switch (g + i) % 3 {
 				case 0:
-					ids, _, err := c.Query("lung")
+					ids, _, err := c.QueryCtx(context.Background(), "lung")
 					if err == nil && (len(ids) != 1 || ids[0] != 1) {
 						err = fmt.Errorf("query = %v", ids)
 					}
@@ -73,7 +76,7 @@ func TestMuxConcurrentInFlight(t *testing.T) {
 						return
 					}
 				case 1:
-					d, _, err := c.Descriptor(2)
+					d, _, err := c.DescriptorCtx(context.Background(), 2)
 					if err == nil && d.Title != "heart" {
 						err = fmt.Errorf("descriptor = %+v", d)
 					}
@@ -82,7 +85,7 @@ func TestMuxConcurrentInFlight(t *testing.T) {
 						return
 					}
 				default:
-					m, _, err := c.Miniature(3)
+					m, _, err := c.MiniatureCtx(context.Background(), 3)
 					if err == nil && m.PopCount() == 0 {
 						err = fmt.Errorf("blank miniature")
 					}
@@ -112,10 +115,10 @@ func TestMuxOutOfOrderWait(t *testing.T) {
 
 	// Start three calls, wait for them in reverse order: each must still
 	// get its own response.
-	a := c.MiniaturesStart([]object.ID{1})
-	b := c.MiniaturesStart([]object.ID{2})
-	d := c.MiniaturesStart([]object.ID{3})
-	for _, pm := range []*PendingMiniatures{d, b, a} {
+	a := c.StartMiniatures(context.Background(), []object.ID{1})
+	b := c.StartMiniatures(context.Background(), []object.ID{2})
+	d := c.StartMiniatures(context.Background(), []object.ID{3})
+	for _, pm := range []MiniatureBatch{d, b, a} {
 		res, _, err := pm.Wait()
 		if err != nil {
 			t.Fatal(err)
@@ -126,127 +129,132 @@ func TestMuxOutOfOrderWait(t *testing.T) {
 	}
 }
 
-// lockstepV1 simulates a pre-HELLO server: strict request/response framing
-// and every unknown op (including OpHello) answered with an error.
-func lockstepV1(t testing.TB, h *Handler) string {
-	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+// scriptedListener hands its first accepted connections to the queued
+// scripts (each plays a misbehaving server on the raw connection) and every
+// later one to whoever called Accept — a real ServeWith in these tests.
+type scriptedListener struct {
+	net.Listener
+	scripts chan func(net.Conn)
+}
+
+func (l *scriptedListener) Accept() (net.Conn, error) {
+	for {
+		conn, err := l.Listener.Accept()
+		if err != nil {
+			return nil, err
+		}
+		select {
+		case script := <-l.scripts:
+			go func() {
+				defer conn.Close()
+				if _, err := ReadFrame(conn); err == nil { // the client's HELLO
+					script(conn)
+				}
+			}()
+		default:
+			return conn, nil
+		}
+	}
+}
+
+// damagedHelloAcks are the ways a HELLO acknowledgement can be unusable.
+var damagedHelloAcks = []struct {
+	name string
+	ack  func(net.Conn)
+}{
+	{"error-frame", func(c net.Conn) { WriteFrame(c, errResp(errors.New("wire: unknown op 10"))) }},
+	{"cut-mid-frame", func(c net.Conn) { c.Write([]byte{0, 0, 0, 17, statusOK, 0, 0}) }},
+	{"short-payload", func(c net.Conn) { WriteFrame(c, okResp(0, []byte{0, 0})) }},
+	{"other-version", func(c net.Conn) { WriteFrame(c, okResp(0, appendU32(nil, protocolVersion-1))) }},
+}
+
+// TestDialMuxRejectsDamagedHelloAck: a HELLO that is not acknowledged
+// cleanly fails the dial — the client never guesses a framing the server
+// may not share — and the failure is classified so a reconnecting client
+// dials again.
+func TestDialMuxRejectsDamagedHelloAck(t *testing.T) {
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { l.Close() })
-	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				for {
-					req, err := ReadFrame(conn)
-					if err != nil {
-						return
-					}
-					var resp []byte
-					if len(req) > 0 && req[0] >= OpHello {
-						resp = errResp(fmt.Errorf("unknown op %d", req[0]))
-					} else {
-						resp = h.Handle(req)
-					}
-					if WriteFrame(conn, resp) != nil {
-						return
-					}
-				}
-			}()
-		}
-	}()
-	return l.Addr().String()
-}
+	l := &scriptedListener{Listener: inner, scripts: make(chan func(net.Conn), len(damagedHelloAcks))}
+	defer l.Close()
+	go ServeWith(l, &Handler{Srv: testServer(t)}, ServeOpts{})
+	addr := l.Addr().String()
 
-func TestMuxFallbackToLockstep(t *testing.T) {
-	addr := lockstepV1(t, &Handler{Srv: testServer(t)})
+	for _, tc := range damagedHelloAcks {
+		l.scripts <- tc.ack
+		tp, err := DialMux(addr)
+		if err == nil {
+			tp.Close()
+			t.Fatalf("%s: DialMux accepted the ack", tc.name)
+		}
+		if !NeedsReconnect(err) || !IsRetryable(err) {
+			t.Fatalf("%s: %v classified reconnect=%v retryable=%v", tc.name, err, NeedsReconnect(err), IsRetryable(err))
+		}
+	}
+
+	// A client whose connection died redials through every damaged ack and
+	// settles on the first clean one.
 	tp, err := DialMux(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tp.Version() != ProtocolV1 {
-		t.Fatalf("version against v1 server = %d, want %d", tp.Version(), ProtocolV1)
-	}
 	c := NewClient(tp)
 	defer c.Close()
-	ids, _, err := c.Query("heart")
-	if err != nil {
-		t.Fatal(err)
+	c.SetRetryPolicy(RetryPolicy{MaxAttempts: len(damagedHelloAcks) + 2, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond})
+	dials := 0
+	c.EnableReconnect(func() (Transport, error) { dials++; return DialMux(addr) })
+	for _, tc := range damagedHelloAcks {
+		l.scripts <- tc.ack
 	}
-	if len(ids) != 1 || ids[0] != 2 {
-		t.Fatalf("fallback Query = %v", ids)
+	tp.Close()
+	if ids, _, err := c.ListCtx(context.Background()); err != nil || len(ids) != 3 {
+		t.Fatalf("List across damaged redials = %v, %v", ids, err)
 	}
-	// The pipelined API still works against a v1 server (serialized
-	// lock-step under the hood), using ops the old server understands.
-	var pends []Pending
-	for _, id := range []object.ID{1, 2, 3} {
-		pends = append(pends, tp.Start(appendU64([]byte{OpMiniature}, uint64(id))))
-	}
-	for i, p := range pends {
-		resp, err := p.Wait()
-		if err != nil {
-			t.Fatalf("fallback pipelined call %d: %v", i, err)
-		}
-		if _, _, err := parseResponse(resp); err != nil {
-			t.Fatalf("fallback pipelined call %d: %v", i, err)
-		}
+	if dials != len(damagedHelloAcks)+1 || c.Reconnects() != 1 {
+		t.Fatalf("%d dials, %d reconnects; want %d and 1", dials, c.Reconnects(), len(damagedHelloAcks)+1)
 	}
 }
 
-func TestV1ClientAgainstV2Server(t *testing.T) {
+// TestServeRequiresHello: the server speaks mux framing only after a HELLO
+// for the one protocol version; any other opening frame gets an ordinary
+// error frame and a closed connection.
+func TestServeRequiresHello(t *testing.T) {
 	addr := serveTCP(t)
-	// Old-style lock-step client: never sends HELLO, must be served
-	// unchanged by a server that also understands v2.
-	tp, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1 := NewClient(tp)
-	defer v1.Close()
-
-	// A mux client shares the server concurrently.
-	mtp, err := DialMux(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2 := NewClient(mtp)
-	defer v2.Close()
-
-	var wg sync.WaitGroup
-	errs := make(chan error, 2)
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 10; i++ {
-			if _, _, err := v1.List(); err != nil {
-				errs <- fmt.Errorf("v1 client: %w", err)
-				return
-			}
+	for _, tc := range []struct {
+		name, want string
+		first      []byte
+	}{
+		{"plain-request", "must open with HELLO", []byte{OpList}},
+		{"mux-framed-request", "must open with HELLO", append(appendU32(nil, 1), OpList)},
+		{"short-hello", "must open with HELLO", []byte{OpHello, 0, 0}},
+		{"older-version", "unsupported protocol version 2", appendU32([]byte{OpHello}, 2)},
+		{"newer-version", "unsupported protocol version 4", appendU32([]byte{OpHello}, 4)},
+	} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 10; i++ {
-			if _, _, err := v2.Miniature(3); err != nil {
-				errs <- fmt.Errorf("v2 client: %w", err)
-				return
-			}
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		if err := WriteFrame(conn, tc.first); err != nil {
+			t.Fatal(err)
 		}
-	}()
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
+		resp, err := ReadFrame(conn)
+		if err != nil {
+			t.Fatalf("%s: no answer: %v", tc.name, err)
+		}
+		if _, _, err := parseResponse(resp); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: answer %v, want an error frame naming %q", tc.name, err, tc.want)
+		}
+		if _, err := ReadFrame(conn); err != io.EOF {
+			t.Fatalf("%s: connection left open (read: %v)", tc.name, err)
+		}
+		conn.Close()
 	}
 }
 
-// stalledServer negotiates v2 on accept, then swallows every request
+// stalledServer acknowledges HELLO on accept, then swallows every request
 // without replying. stop closes all accepted connections.
 func stalledServer(t testing.TB) (addr string, stop func()) {
 	t.Helper()
@@ -273,7 +281,7 @@ func stalledServer(t testing.TB) (addr string, stop func()) {
 					conn.Close()
 					return
 				}
-				WriteFrame(conn, okResp(0, appendU32(nil, ProtocolV2)))
+				WriteFrame(conn, okResp(0, appendU32(nil, protocolVersion)))
 				for {
 					if _, err := ReadFrame(conn); err != nil {
 						return
@@ -302,9 +310,6 @@ func TestMuxCallTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tp.Close()
-	if tp.Version() != ProtocolV2 {
-		t.Fatalf("version = %d", tp.Version())
-	}
 	tp.SetCallTimeout(50 * time.Millisecond)
 	start := time.Now()
 	_, err = tp.RoundTrip([]byte{OpList})
@@ -345,50 +350,75 @@ func TestMuxConnectionDeathFailsPending(t *testing.T) {
 	}
 }
 
-// TestTCPTimeoutAgainstDeadServer is the satellite fix: a lock-step client
-// calling a server that accepts but never answers must fail by deadline,
-// not hang forever.
+// TestMuxCallTimeoutOffClearsWriteDeadline: a call made under a timeout arms
+// the connection's write deadline; switching the timeout off must disarm it,
+// or the first call after the old deadline passes fails on a healthy
+// connection.
+func TestMuxCallTimeoutOffClearsWriteDeadline(t *testing.T) {
+	tp, err := DialMux(serveTCP(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tp.Close()
+	tp.SetCallTimeout(50 * time.Millisecond)
+	if _, err := tp.RoundTrip([]byte{OpList}); err != nil {
+		t.Fatal(err)
+	}
+	tp.SetCallTimeout(0)
+	time.Sleep(120 * time.Millisecond)
+	if _, err := tp.RoundTrip([]byte{OpList}); err != nil {
+		t.Fatalf("call after the timeout was switched off: %v", err)
+	}
+}
+
+// TestTCPTimeoutAgainstDeadServer: a server that acknowledges HELLO and then
+// stops reading altogether must fail the client's writes by deadline once
+// the socket buffers fill, not hang them forever.
 func TestTCPTimeoutAgainstDeadServer(t *testing.T) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
+	hung := make(chan struct{})
+	defer close(hung)
 	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			defer conn.Close()
-			// Read and discard forever; never respond.
-			buf := make([]byte, 1024)
-			for {
-				if _, err := conn.Read(buf); err != nil {
-					return
-				}
-			}
+		conn, err := l.Accept()
+		if err != nil {
+			return
 		}
+		defer conn.Close()
+		if _, err := ReadFrame(conn); err != nil {
+			return
+		}
+		WriteFrame(conn, okResp(0, appendU32(nil, protocolVersion)))
+		<-hung // never read again
 	}()
-	tp, err := Dial(l.Addr().String())
+	tp, err := DialMux(l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tp.Close()
-	tp.SetTimeout(100 * time.Millisecond)
+	tp.SetCallTimeout(100 * time.Millisecond)
 	done := make(chan error, 1)
 	go func() {
-		_, err := tp.RoundTrip([]byte{OpList})
-		done <- err
+		big := make([]byte, 1<<20)
+		for i := 0; i < 256; i++ { // far more than loopback buffers hold
+			if p, failed := tp.Start(big).(errPending); failed {
+				done <- p.err
+				return
+			}
+		}
+		done <- nil
 	}()
 	select {
 	case err := <-done:
 		var nerr net.Error
-		if !errors.As(err, &nerr) || !nerr.Timeout() {
-			t.Fatalf("dead-server call error = %v, want timeout", err)
+		if !errors.As(err, &nerr) || !nerr.Timeout() || !NeedsReconnect(err) {
+			t.Fatalf("dead-server write error = %v, want a timeout needing reconnect", err)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("RoundTrip hung against dead server despite SetTimeout")
+	case <-time.After(60 * time.Second):
+		t.Fatal("write hung against a server that stopped reading")
 	}
 }
 
@@ -440,7 +470,7 @@ func TestLocalTransportBatchWindow(t *testing.T) {
 func TestMiniaturesBatch(t *testing.T) {
 	c, lt := localClient(t)
 	lt.ResetStats()
-	res, _, err := c.Miniatures([]object.ID{3, 42, 1})
+	res, _, err := c.MiniaturesCtx(context.Background(), []object.ID{3, 42, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,8 +493,8 @@ func TestMiniaturesBatch(t *testing.T) {
 		t.Fatalf("entry 2 = %+v", res[2])
 	}
 
-	// The batch must agree with the lock-step path bit for bit.
-	single, _, err := c.Miniature(3)
+	// The batch must agree with the single-miniature call bit for bit.
+	single, _, err := c.MiniatureCtx(context.Background(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,7 +502,7 @@ func TestMiniaturesBatch(t *testing.T) {
 		t.Fatalf("batched miniature diverges from single fetch")
 	}
 
-	if _, _, err := c.Miniatures(nil); err != nil {
+	if _, _, err := c.MiniaturesCtx(context.Background(), nil); err != nil {
 		t.Fatalf("empty batch: %v", err)
 	}
 }
@@ -520,13 +550,13 @@ func BenchmarkMuxConcurrentMiniatures(b *testing.B) {
 	}
 	c := NewClient(tp)
 	defer c.Close()
-	if _, _, err := c.Miniature(3); err != nil { // warm the block cache
+	if _, _, err := c.MiniatureCtx(context.Background(), 3); err != nil { // warm the block cache
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, _, err := c.Miniature(3); err != nil {
+			if _, _, err := c.MiniatureCtx(context.Background(), 3); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -538,7 +568,7 @@ func BenchmarkMuxBatchedMiniatures(b *testing.B) {
 	ids := []object.ID{1, 2, 3}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := c.Miniatures(ids); err != nil {
+		if _, _, err := c.MiniaturesCtx(context.Background(), ids); err != nil {
 			b.Fatal(err)
 		}
 	}

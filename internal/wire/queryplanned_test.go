@@ -1,6 +1,9 @@
 package wire
 
 import (
+	"context"
+	"net"
+	"slices"
 	"strings"
 	"testing"
 
@@ -42,7 +45,7 @@ func TestQueryPlannedOverWire(t *testing.T) {
 	c := NewClient(EthernetLink(&Handler{Srv: plannedTestServer(t)}))
 	got := func(q index.Query) []object.ID {
 		t.Helper()
-		ids, _, err := c.QueryPlanned(q)
+		ids, _, err := c.QueryPlannedCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,26 +103,46 @@ func TestQueryPlannedRejectsHostileRequests(t *testing.T) {
 	}
 }
 
-// TestQueryPlannedFallback runs the planned op against a pre-planner server
-// (every op past the legacy set answered unknown-op): filterless planned
-// queries must fall back to OpQuery; queries with predicates must fail
-// rather than silently drop their filters.
-func TestQueryPlannedFallback(t *testing.T) {
-	addr := lockstepV1(t, &Handler{Srv: plannedTestServer(t)})
-	tp, err := Dial(addr)
+// TestQueryTermOnly pins the term-only entry point now that it is a planned
+// query without predicates: it returns exactly what the server's own Query
+// does, over the simulated link and over TCP, and inherits the client-side
+// MaxQueryTerms check (TestQueryPlannedRejectsHostileRequests holds the
+// server to the same bound).
+func TestQueryTermOnly(t *testing.T) {
+	srv := plannedTestServer(t)
+	h := &Handler{Srv: srv}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewClient(tp)
-	defer c.Close()
-	ids, _, err := c.QueryPlanned(index.Query{Terms: []string{"lung", "shadow"}})
+	defer l.Close()
+	go ServeWith(l, h, ServeOpts{})
+	tp, err := DialMux(l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ids) != 2 || ids[0] != 1 || ids[1] != 3 {
-		t.Fatalf("fallback query = %v", ids)
-	}
-	if _, _, err := c.QueryPlanned(index.Query{Terms: []string{"lung"}, Kind: index.KindAudio}); err == nil {
-		t.Fatal("filtered query silently degraded on a pre-planner server")
+	clients := map[string]*Client{"local": NewClient(EthernetLink(h)), "tcp": NewClient(tp)}
+	defer clients["tcp"].Close()
+
+	for name, c := range clients {
+		for _, terms := range [][]string{nil, {"lung"}, {"heart"}, {"absent"}} {
+			got, _, err := c.QueryCtx(context.Background(), terms...)
+			if err != nil {
+				t.Fatalf("%s %v: %v", name, terms, err)
+			}
+			if want := srv.Query(terms...); !slices.Equal(got, want) {
+				t.Fatalf("%s %v = %v, want %v", name, terms, got, want)
+			}
+		}
+		wide := make([]string, MaxQueryTerms+1)
+		for i := range wide {
+			wide[i] = "lung"
+		}
+		if _, _, err := c.QueryCtx(context.Background(), wide...); err == nil || !strings.Contains(err.Error(), "exceeds") {
+			t.Fatalf("%s: %d-term query error = %v, want the MaxQueryTerms rejection", name, len(wide), err)
+		}
+		if _, _, err := c.QueryCtx(context.Background(), wide[:MaxQueryTerms]...); err != nil {
+			t.Fatalf("%s: %d-term query: %v", name, MaxQueryTerms, err)
+		}
 	}
 }

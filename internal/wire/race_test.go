@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net"
 	"sync"
@@ -22,7 +23,7 @@ func raceIters(t *testing.T, full int) int {
 // TestServeConcurrentConnections hammers one TCP server from many
 // connections with overlapping Piece/Miniature/View/Stats requests and
 // asserts byte-identical results vs. the serial path. Under -race it
-// proves wire.Serve needs no global handler lock.
+// proves wire.ServeWith needs no global handler lock.
 func TestServeConcurrentConnections(t *testing.T) {
 	srv := testServer(t)
 	h := &Handler{Srv: srv}
@@ -33,16 +34,16 @@ func TestServeConcurrentConnections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	basePiece, _, err := serial.ReadPiece(ext.Start, ext.Length)
+	basePiece, _, err := serial.ReadPieceCtx(context.Background(), ext.Start, ext.Length)
 	if err != nil {
 		t.Fatal(err)
 	}
 	viewRect := img.Rect{X: 10, Y: 10, W: 40, H: 30}
-	baseView, _, err := serial.ImageView(3, "map", viewRect)
+	baseView, _, err := serial.ImageViewCtx(context.Background(), 3, "map", viewRect)
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseIDs, _, err := serial.List()
+	baseIDs, _, err := serial.ListCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestServeConcurrentConnections(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	go Serve(l, h)
+	go ServeWith(l, h, ServeOpts{})
 
 	const clients = 16
 	iters := raceIters(t, 40)
@@ -62,7 +63,7 @@ func TestServeConcurrentConnections(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			tp, err := Dial(l.Addr().String())
+			tp, err := DialMux(l.Addr().String())
 			if err != nil {
 				errc <- err
 				return
@@ -72,7 +73,7 @@ func TestServeConcurrentConnections(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				switch (w + i) % 6 {
 				case 0:
-					data, _, err := c.ReadPiece(ext.Start, ext.Length)
+					data, _, err := c.ReadPieceCtx(context.Background(), ext.Start, ext.Length)
 					if err != nil {
 						errc <- err
 						return
@@ -82,7 +83,7 @@ func TestServeConcurrentConnections(t *testing.T) {
 						return
 					}
 				case 1:
-					m, _, err := c.Miniature(3)
+					m, _, err := c.MiniatureCtx(context.Background(), 3)
 					if err != nil {
 						errc <- err
 						return
@@ -92,7 +93,7 @@ func TestServeConcurrentConnections(t *testing.T) {
 						return
 					}
 				case 2:
-					v, _, err := c.ImageView(3, "map", viewRect)
+					v, _, err := c.ImageViewCtx(context.Background(), 3, "map", viewRect)
 					if err != nil {
 						errc <- err
 						return
@@ -102,7 +103,7 @@ func TestServeConcurrentConnections(t *testing.T) {
 						return
 					}
 				case 3:
-					ids, _, err := c.Query("the")
+					ids, _, err := c.QueryCtx(context.Background(), "the")
 					if err != nil {
 						errc <- err
 						return
@@ -112,7 +113,7 @@ func TestServeConcurrentConnections(t *testing.T) {
 						return
 					}
 				case 4:
-					st, err := c.Stats()
+					st, err := c.StatsCtx(context.Background())
 					if err != nil {
 						errc <- err
 						return
@@ -122,7 +123,7 @@ func TestServeConcurrentConnections(t *testing.T) {
 						return
 					}
 				case 5:
-					ids, _, err := c.List()
+					ids, _, err := c.ListCtx(context.Background())
 					if err != nil {
 						errc <- err
 						return
@@ -131,7 +132,7 @@ func TestServeConcurrentConnections(t *testing.T) {
 						errc <- fmt.Errorf("client %d: List = %v, want %v", w, ids, baseIDs)
 						return
 					}
-					if m, err := c.Mode(3); err != nil || m != object.Audio {
+					if m, err := c.ModeCtx(context.Background(), 3); err != nil || m != object.Audio {
 						errc <- fmt.Errorf("client %d: Mode = %v, %v", w, m, err)
 						return
 					}
@@ -146,7 +147,7 @@ func TestServeConcurrentConnections(t *testing.T) {
 	}
 
 	// The server observed real concurrent traffic.
-	st, err := NewClient(EthernetLink(h)).Stats()
+	st, err := NewClient(EthernetLink(h)).StatsCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,12 +224,12 @@ func TestLocalTransportConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				if w%2 == 0 {
-					if _, _, err := c.Query("lung"); err != nil {
+					if _, _, err := c.QueryCtx(context.Background(), "lung"); err != nil {
 						errc <- err
 						return
 					}
 				} else {
-					if _, _, err := c.Descriptor(2); err != nil {
+					if _, _, err := c.DescriptorCtx(context.Background(), 2); err != nil {
 						errc <- err
 						return
 					}

@@ -181,9 +181,8 @@ func (c *Client) SetBackoffRand(r *BackoffRand) {
 }
 
 // EnableReconnect installs a redial function used to rebuild the transport
-// when a call fails with a connection error. The function must perform any
-// protocol negotiation the original dial did (DialMux re-issues HELLO, so
-// the replacement connection renegotiates its protocol version). Calls in
+// when a call fails with a connection error. The function must open the
+// connection the way the original dial did (DialMux sends HELLO). Calls in
 // flight on the dead transport still fail; subsequent retries go out on the
 // fresh one.
 func (c *Client) EnableReconnect(redial func() (Transport, error)) {

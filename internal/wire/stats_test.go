@@ -1,13 +1,14 @@
 package wire
 
 import (
+	"context"
 	"testing"
 
 	"minos/internal/server"
 )
 
 // TestStatsTaggedRoundTrip: every counter survives the tagged encoding,
-// including the ones deliberately emitted out of historical order.
+// including the ones deliberately emitted out of tag order.
 func TestStatsTaggedRoundTrip(t *testing.T) {
 	want := server.Stats{
 		PieceReads: 1, BytesOut: 2, CacheHits: 3, CacheMiss: 4,
@@ -28,7 +29,7 @@ func TestStatsTaggedRoundTrip(t *testing.T) {
 }
 
 // TestStatsTaggedSkipsUnknownTags: a client must keep decoding the fields
-// it knows when a newer server appends counters with tags it does not.
+// it knows when the server appends counters with tags it does not.
 func TestStatsTaggedSkipsUnknownTags(t *testing.T) {
 	payload := encodeStatsTagged(server.Stats{PieceReads: 9, Shed: 2})
 	payload = append(payload, 200) // unknown future tag...
@@ -42,41 +43,23 @@ func TestStatsTaggedSkipsUnknownTags(t *testing.T) {
 	}
 }
 
-// TestStatsPositionalFallback: the client still decodes the pre-tagged
-// positional layout (six required u64 fields plus the optional seventh),
-// so it keeps working against old servers.
-func TestStatsPositionalFallback(t *testing.T) {
-	var payload []byte
-	for _, v := range []uint64{1, 2, 3, 4, 5, 6, 7} {
-		payload = appendU64(payload, v)
-	}
-	got, err := decodeStatsPositional(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := server.Stats{PieceReads: 1, BytesOut: 2, CacheHits: 3, CacheMiss: 4,
-		DeviceWaits: 5, DeviceWaitNanos: 6, ReadAheadBlocks: 7}
-	if got != want {
-		t.Fatalf("positional decode = %+v, want %+v", got, want)
-	}
-	// Six-field layout (servers predating read-ahead) still decodes.
-	got, err = decodeStatsPositional(payload[:48])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.ReadAheadBlocks != 0 || got.DeviceWaitNanos != 6 {
-		t.Fatalf("six-field decode = %+v", got)
+// TestStatsRejectsUntaggedPayload: a payload that does not open with the
+// marker (empty, or damaged in transit) is an error, not a zero snapshot.
+func TestStatsRejectsUntaggedPayload(t *testing.T) {
+	for _, payload := range [][]byte{nil, {}, appendU64(nil, 7), encodeStatsTagged(server.Stats{})[1:]} {
+		if _, err := decodeStatsTagged(payload); err == nil {
+			t.Fatalf("untagged stats payload %v accepted", payload)
+		}
 	}
 }
 
-// TestStatsOverWire: the wire Stats call decodes the tagged response the
-// current server emits.
+// TestStatsOverWire: StatsCtx decodes the tagged response the server emits.
 func TestStatsOverWire(t *testing.T) {
 	c, _ := localClient(t)
-	if _, _, err := c.ReadPiece(0, 64); err != nil {
+	if _, _, err := c.ReadPieceCtx(context.Background(), 0, 64); err != nil {
 		t.Fatal(err)
 	}
-	st, err := c.Stats()
+	st, err := c.StatsCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

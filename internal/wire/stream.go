@@ -15,7 +15,7 @@ import (
 	"minos/internal/pool"
 )
 
-// Server-push streams (protocol v3). A stream is opened like any other call
+// Server-push streams. A stream is opened like any other call
 // — one request frame with a fresh correlation id — but the response is a
 // sequence of frames under that same id: a header frame describing the
 // media, data frames each carrying a byte-addressed chunk, and an end frame
@@ -35,7 +35,7 @@ import (
 // travel as ordinary error responses under the stream's id, keeping the
 // client's retry/fallback classification identical to the batch path.
 
-// Stream op codes (see the op table in wire.go; these require protocol v3).
+// Stream op codes (see the op table in wire.go).
 const (
 	// OpVoiceStream streams the raw PCM region of an object's first voice
 	// part as byte-addressed chunks: [id u64][from u64][window u32].
@@ -70,20 +70,19 @@ const StreamChunkBytes = 4096
 const maxStreamCredit = int64(1) << 40
 
 // ErrStreamUnsupported reports a transport that cannot carry server-push
-// streams: it has no stream support at all, or HELLO negotiated a protocol
-// before v3. Callers fall back to the single-frame batch ops.
+// streams (one that is not a StreamOpener, such as a fault-injecting
+// wrapper). Callers fall back to the single-frame batch ops.
 var ErrStreamUnsupported = errors.New("wire: transport does not support streams")
 
 // errStreamCancelled is the producer-side signal that the client cancelled
 // (or the connection died) mid-stream; the serving loop unwinds silently.
 var errStreamCancelled = errors.New("wire: stream cancelled")
 
-// StreamFallback reports whether a stream-open failure means the peer
+// StreamFallback reports whether a stream-open failure means the transport
 // simply lacks the stream path (rather than the call failing), so the
-// caller should retry via the legacy single-frame op: the transport never
-// negotiated streams, or an older server rejected the op as unknown.
+// caller should use the single-frame batch op instead.
 func StreamFallback(err error) bool {
-	return errors.Is(err, ErrStreamUnsupported) || isUnknownOp(err)
+	return errors.Is(err, ErrStreamUnsupported)
 }
 
 // --- frame codec ---
@@ -558,11 +557,10 @@ func parseMiniatureStreamMeta(meta []byte) (MiniatureStreamInfo, error) {
 // starting at byte offset from (must be even — samples are 2 bytes) with an
 // initial credit window of window bytes. The caller receives chunks via the
 // returned StreamConn, granting credit as it consumes. Fails with
-// ErrStreamUnsupported (or an unknown-op server error) when the peer lacks
-// the stream path — see StreamFallback; the legacy batch path is the
-// fallback. Streams bypass the retry loop: a broken stream surfaces to the
-// caller (the cluster layer resumes it on a replica from the last delivered
-// offset).
+// ErrStreamUnsupported when the transport lacks the stream path — see
+// StreamFallback; the batch path is the fallback. Streams bypass the retry
+// loop: a broken stream surfaces to the caller (the cluster layer resumes it
+// on a replica from the last delivered offset).
 func (c *Client) VoiceStreamCtx(ctx context.Context, id object.ID, from uint64, window int) (VoiceStreamInfo, StreamConn, error) {
 	so, ok := c.Transport().(StreamOpener)
 	if !ok {
@@ -803,33 +801,23 @@ func (s *muxStream) Close() error {
 // an open failure (which arrives as an ordinary error response under the
 // stream's id — same classification as any batch call).
 func (m *MuxTransport) OpenStream(ctx context.Context, req []byte) ([]byte, time.Duration, StreamConn, error) {
-	if m.version < ProtocolV3 || m.d == nil {
-		return nil, 0, nil, ErrStreamUnsupported
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, 0, nil, err
 	}
-	timeout := time.Duration(m.callTimeout.Load())
 	id := m.nextID.Add(1)
-	st := &muxStream{m: m, id: id, timeout: timeout, notify: make(chan struct{}, 1)}
+	st := &muxStream{m: m, id: id, notify: make(chan struct{}, 1)}
 	if err := m.d.registerStream(id, st); err != nil {
 		return nil, 0, nil, err
 	}
-	out := muxFrame(id, req)
-	m.writeMu.Lock()
-	if timeout > 0 {
-		m.conn.SetWriteDeadline(time.Now().Add(timeout))
-	}
-	_, werr := m.conn.Write(out)
-	m.writeMu.Unlock()
-	pool.Bytes.Put(out)
+	timeout, werr := m.sendFrame(id, req)
 	if werr != nil {
 		m.d.removeStream(id)
 		return nil, 0, nil, werr
 	}
+	st.timeout = timeout // set before any Recv: the stream is not yet shared
 	frame, err := st.next(ctx, timeout)
 	if err != nil {
 		st.Close()
@@ -860,12 +848,7 @@ func (m *MuxTransport) OpenStream(ctx context.Context, req []byte) ([]byte, time
 
 // OpenStreams reports the number of registered client-side streams (leak
 // checks, mirroring PendingCalls).
-func (m *MuxTransport) OpenStreams() int {
-	if m.d == nil {
-		return 0
-	}
-	return m.d.streamLen()
-}
+func (m *MuxTransport) OpenStreams() int { return m.d.streamLen() }
 
 // --- LocalTransport streams ---
 

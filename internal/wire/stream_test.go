@@ -104,7 +104,7 @@ func TestVoiceStreamOverMux(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	go Serve(l, &Handler{Srv: srv})
+	go ServeWith(l, &Handler{Srv: srv}, ServeOpts{})
 	tp, err := DialMux(l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +128,7 @@ func TestVoiceStreamOverMux(t *testing.T) {
 	}
 	// Batched calls share the connection mid-stream unharmed — and nothing
 	// leaks after the clean end.
-	if _, _, err := c.Miniature(3); err != nil {
+	if _, _, err := c.MiniatureCtx(context.Background(), 3); err != nil {
 		t.Fatalf("batched call after stream: %v", err)
 	}
 	if n := tp.OpenStreams(); n != 0 {
@@ -170,7 +170,7 @@ func TestMiniatureStreamOverMux(t *testing.T) {
 	}
 	c := NewClient(tp)
 	defer c.Close()
-	want, _, err := c.Miniature(3)
+	want, _, err := c.MiniatureCtx(context.Background(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestStreamOpenErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	go Serve(l, &Handler{Srv: srv})
+	go ServeWith(l, &Handler{Srv: srv}, ServeOpts{})
 	tp, err := DialMux(l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -313,95 +313,24 @@ func TestStreamOpenErrors(t *testing.T) {
 	}
 }
 
-// TestStreamOpsGatedBehindV3: a peer that negotiated v2 in HELLO gets the
-// pre-stream protocol byte for byte — a stream op on its connection is an
-// unknown op (the fallback trigger), not a stream.
-func TestStreamOpsGatedBehindV3(t *testing.T) {
-	srv, id := voiceServer(t)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	go Serve(l, &Handler{Srv: srv})
-	conn, err := net.Dial("tcp", l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-
-	// Pin the handshake at v2, like any pre-v3 client binary would.
-	if err := WriteFrame(conn, appendU32([]byte{OpHello}, ProtocolV2)); err != nil {
-		t.Fatal(err)
-	}
-	ack, err := ReadFrame(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := parseHelloResponse(ack)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != ProtocolV2 {
-		t.Fatalf("v2 client negotiated %d, want %d", v, ProtocolV2)
-	}
-	// A normal call works on the upgraded mux connection...
-	out := muxFrame(1, []byte{OpList})
-	if _, err := conn.Write(out); err != nil {
-		t.Fatal(err)
-	}
-	pool.Bytes.Put(out)
-	frame, err := ReadFrame(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := binary.BigEndian.Uint32(frame); got != 1 {
-		t.Fatalf("correlation id %d, want 1", got)
-	}
-	if _, _, err := parseResponse(frame[4:]); err != nil {
-		t.Fatalf("OpList over v2 mux: %v", err)
-	}
-	// ...but the stream op is rejected as unknown, under its own id.
-	out = muxFrame(2, encodeStreamOpen(OpVoiceStream, id, 0, 1024))
-	if _, err := conn.Write(out); err != nil {
-		t.Fatal(err)
-	}
-	pool.Bytes.Put(out)
-	frame, err = ReadFrame(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := binary.BigEndian.Uint32(frame); got != 2 {
-		t.Fatalf("correlation id %d, want 2", got)
-	}
-	_, _, rerr := parseResponse(frame[4:])
-	if rerr == nil {
-		t.Fatal("v2 connection served a stream op")
-	}
-	if !StreamFallback(rerr) {
-		t.Fatalf("v2 rejection %q does not classify as stream fallback", rerr)
-	}
-}
-
-// TestStreamFallbackAgainstV1: a v1 peer (no HELLO at all) makes OpenStream
-// fail with ErrStreamUnsupported before anything hits the wire.
-func TestStreamFallbackAgainstV1(t *testing.T) {
-	addr := lockstepV1(t, &Handler{Srv: testServer(t)})
-	tp, err := DialMux(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tp.Close()
-	if tp.Version() != ProtocolV1 {
-		t.Fatalf("version = %d, want %d", tp.Version(), ProtocolV1)
-	}
-	c := NewClient(tp)
+// TestStreamFallbackWithoutOpener: a transport that cannot open streams (a
+// plain Transport, like the fault injector's wrapper) fails the open with
+// ErrStreamUnsupported before anything hits the wire — the one condition
+// StreamFallback routes to the batch ops. A server-side open failure is not
+// one: it must surface to the caller.
+func TestStreamFallbackWithoutOpener(t *testing.T) {
+	c := NewClient(&staticTransport{})
 	_, _, serr := c.VoiceStreamCtx(context.Background(), 3, 0, 1024)
-	if !errors.Is(serr, ErrStreamUnsupported) {
-		t.Fatalf("stream against v1 peer = %v, want ErrStreamUnsupported", serr)
+	if !errors.Is(serr, ErrStreamUnsupported) || !StreamFallback(serr) {
+		t.Fatalf("stream on a plain transport = %v, want ErrStreamUnsupported", serr)
 	}
+	_, _, serr = c.MiniatureStreamCtx(context.Background(), 3, 0, 1024)
 	if !StreamFallback(serr) {
-		t.Fatal("ErrStreamUnsupported must classify as fallback")
+		t.Fatalf("miniature stream on a plain transport = %v, want the fallback class", serr)
+	}
+	lc, _ := localClient(t)
+	if _, _, err := lc.VoiceStreamCtx(context.Background(), 424242, 0, 1024); err == nil || StreamFallback(err) {
+		t.Fatalf("open failure %v classified as fallback", err)
 	}
 }
 
@@ -485,7 +414,7 @@ func TestStreamCodecHostileInputs(t *testing.T) {
 		}
 	}
 	sink := &collectSink{}
-	if err := h.ServeStreamAs(0, encodeStreamOpen(200, id, 0, 4096), sink); err == nil || !isUnknownOp(err) {
+	if err := h.ServeStreamAs(0, encodeStreamOpen(200, id, 0, 4096), sink); err == nil || !strings.Contains(err.Error(), "unknown op") {
 		t.Fatalf("unknown stream op = %v, want unknown-op error", err)
 	}
 }
@@ -585,14 +514,14 @@ func TestStreamCancelRaceWithBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	go Serve(l, &Handler{Srv: srv})
+	go ServeWith(l, &Handler{Srv: srv}, ServeOpts{})
 	tp, err := DialMux(l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := NewClient(tp)
 	defer c.Close()
-	if _, _, err := c.Miniature(3); err != nil { // settle the connection
+	if _, _, err := c.MiniatureCtx(context.Background(), 3); err != nil { // settle the connection
 		t.Fatal(err)
 	}
 	baseline := runtime.NumGoroutine()
@@ -612,7 +541,7 @@ func TestStreamCancelRaceWithBatches(t *testing.T) {
 			go func(g int) {
 				defer wg.Done()
 				for k := 0; k < 4; k++ {
-					res, _, err := c.Miniatures([]object.ID{1, 2, 3})
+					res, _, err := c.MiniaturesCtx(context.Background(), []object.ID{1, 2, 3})
 					if err != nil {
 						errc <- err
 						return

@@ -151,96 +151,13 @@ func (l *LocalTransport) ResetStats() {
 	l.bytesSent, l.bytesRecv, l.roundTrips, l.linkTime = 0, 0, 0, 0
 }
 
-// TCPTransport runs the protocol over a net.Conn, lock-step (protocol v1).
-type TCPTransport struct {
-	mu      sync.Mutex
-	conn    net.Conn
-	timeout time.Duration
-}
-
-// Dial connects to a wire server.
-func Dial(addr string) (*TCPTransport, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return &TCPTransport{conn: conn}, nil
-}
-
-// SetTimeout bounds every subsequent RoundTrip (write + read) with a
-// connection deadline, so a dead or stalled server fails the call instead
-// of hanging the client forever. Zero restores unbounded waits.
-//
-// Deprecated: pass a context with a deadline to the client's ctx-first
-// methods (QueryCtx etc.) instead — RoundTripCtx translates it into the
-// connection deadline per call, and cancellation works mid-call.
-func (t *TCPTransport) SetTimeout(d time.Duration) {
-	t.mu.Lock()
-	t.timeout = d
-	t.mu.Unlock()
-}
-
-// RoundTrip implements Transport; exchanges are serialized per connection.
-func (t *TCPTransport) RoundTrip(req []byte) ([]byte, error) {
-	return t.RoundTripCtx(context.Background(), req)
-}
-
-// RoundTripCtx implements ContextTransport: a context deadline becomes the
-// connection deadline for this exchange (tightened by any SetTimeout value),
-// and cancellation mid-call forces the blocked read to fail immediately by
-// expiring the deadline.
-func (t *TCPTransport) RoundTripCtx(ctx context.Context, req []byte) ([]byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	deadline := time.Time{}
-	if t.timeout > 0 {
-		deadline = time.Now().Add(t.timeout)
-	}
-	if d, ok := ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
-		deadline = d
-	}
-	t.conn.SetDeadline(deadline)
-	if ctx.Done() != nil {
-		// Cancellation (not just deadline expiry) must unblock the read:
-		// yank the connection deadline to the past when ctx ends.
-		stop := context.AfterFunc(ctx, func() {
-			t.conn.SetDeadline(time.Unix(1, 0))
-		})
-		defer stop()
-	}
-	if err := WriteFrame(t.conn, req); err != nil {
-		return nil, wrapCtxErr(ctx, err)
-	}
-	resp, err := ReadFrame(t.conn)
-	return resp, wrapCtxErr(ctx, err)
-}
-
-// wrapCtxErr maps a connection error caused by context cancellation back to
-// the context's error, so callers see context.Canceled, not a confusing
-// i/o timeout.
-func wrapCtxErr(ctx context.Context, err error) error {
-	if err == nil {
-		return nil
-	}
-	if cerr := ctx.Err(); cerr != nil {
-		return fmt.Errorf("%w (%v)", cerr, err)
-	}
-	return err
-}
-
-// Close implements Transport.
-func (t *TCPTransport) Close() error { return t.conn.Close() }
-
 // isCleanClose reports whether a connection read error is an ordinary
 // hang-up (EOF, closed connection) rather than something worth logging.
 func isCleanClose(err error) bool {
 	return errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed)
 }
 
-// ServeOpts configures Serve behaviour.
+// ServeOpts configures ServeWith.
 type ServeOpts struct {
 	// IdleTimeout drops a connection that sends no request for this long
 	// (0 = never). It bounds the damage a stalled or hostile client can
@@ -250,31 +167,20 @@ type ServeOpts struct {
 	// failures). Nil discards them. Clean closes (EOF, closed network
 	// connection) are not reported.
 	ErrorLog func(error)
-	// Serialize restores the historical behaviour of one global lock
-	// around the handler, so every request across every connection is
-	// served one at a time. It exists for A/B throughput experiments
-	// (E-CONC); production serving leaves it false.
-	Serialize bool
 }
 
-// Serve accepts connections on l and serves protocol requests until the
+// ServeWith accepts connections on l and serves protocol requests until the
 // listener closes. Each connection runs on its own goroutine and requests
 // are handled fully in parallel: the handler's server is concurrency-safe,
 // and device queueing is modelled where it belongs (the server's seek
-// semaphore), not by a global lock.
-func Serve(l net.Listener, h *Handler) error {
-	return ServeWith(l, h, ServeOpts{})
-}
-
-// ServeWith is Serve with explicit options. When the listener closes, all
-// open connections are closed and their handler goroutines drained before
+// semaphore), not by a global lock. When the listener closes, all open
+// connections are closed and their handler goroutines drained before
 // ServeWith returns.
 func ServeWith(l net.Listener, h *Handler, opts ServeOpts) error {
 	var (
-		serialMu sync.Mutex // only used when opts.Serialize
-		connMu   sync.Mutex
-		conns    = map[net.Conn]struct{}{}
-		wg       sync.WaitGroup
+		connMu sync.Mutex
+		conns  = map[net.Conn]struct{}{}
+		wg     sync.WaitGroup
 	)
 	logf := func(format string, args ...any) {
 		if opts.ErrorLog != nil {
@@ -300,9 +206,6 @@ func ServeWith(l net.Listener, h *Handler, opts ServeOpts) error {
 		connMu.Unlock()
 		wg.Add(1)
 		go func(conn net.Conn) {
-			// One tenant per connection: admission fairness tracks
-			// sessions, not individual requests.
-			tenant := h.NewTenant()
 			defer wg.Done()
 			defer func() {
 				connMu.Lock()
@@ -310,57 +213,52 @@ func ServeWith(l net.Listener, h *Handler, opts ServeOpts) error {
 				connMu.Unlock()
 				conn.Close()
 			}()
-			var hdr [4]byte // per-connection frame-header scratch
-			for {
-				if opts.IdleTimeout > 0 {
-					conn.SetReadDeadline(time.Now().Add(opts.IdleTimeout))
-				}
-				req, err := readFramePooled(conn, &hdr)
-				if err != nil {
-					if !isCleanClose(err) {
-						logf("wire: %s: read: %w", conn.RemoteAddr(), err)
-					}
-					return
-				}
-				var resp []byte
-				if opts.Serialize {
-					serialMu.Lock()
-					resp = h.HandleAs(tenant, req)
-					serialMu.Unlock()
-				} else {
-					resp = h.HandleAs(tenant, req)
-				}
-				if err := writeFramePooled(conn, resp); err != nil {
-					if !errors.Is(err, net.ErrClosed) {
-						logf("wire: %s: write: %w", conn.RemoteAddr(), err)
-					}
-					return
-				}
-				// A HELLO negotiating v2 or higher upgrades this
-				// connection to multiplexed framing; the acknowledgement
-				// just written was the last lock-step frame. The negotiated
-				// version gates the stream ops: a v2 peer's connection
-				// serves them through the normal path, which answers
-				// "unknown op" exactly as before.
-				upgrade := len(req) == 5 && req[0] == OpHello && resp[0] == statusOK
-				version := 0
-				if upgrade {
-					if v, err := parseHelloResponse(resp); err == nil {
-						version = v
-					}
-					if version < ProtocolV2 {
-						upgrade = false
-					}
-				}
-				// The loop is the last holder of both frames: the response
-				// is written out, the request parsed and copied from.
-				pool.Bytes.Put(req)
-				recycleResponse(resp)
-				if upgrade {
-					muxConn(conn, tenant, version, h, opts, &serialMu, logf)
-					return
-				}
+			// One tenant per connection: admission fairness tracks
+			// sessions, not individual requests.
+			tenant := h.NewTenant()
+			if acceptHello(conn, tenant, h, opts, logf) {
+				muxConn(conn, tenant, h, opts, logf)
 			}
 		}(conn)
 	}
+}
+
+// acceptHello performs the server side of a connection's opening exchange,
+// the only lock-step frames on the wire. The first frame must be a HELLO
+// naming protocolVersion; anything else is answered with an ordinary error
+// frame and refused (false), and the caller closes the connection.
+func acceptHello(conn net.Conn, tenant uint64, h *Handler, opts ServeOpts, logf func(format string, args ...any)) bool {
+	if opts.IdleTimeout > 0 {
+		conn.SetReadDeadline(time.Now().Add(opts.IdleTimeout))
+	}
+	var hdr [4]byte
+	req, err := readFramePooled(conn, &hdr)
+	if err != nil {
+		if !isCleanClose(err) {
+			logf("wire: %s: read: %w", conn.RemoteAddr(), err)
+		}
+		return false
+	}
+	var resp []byte
+	if len(req) == 5 && req[0] == OpHello {
+		resp = h.HandleAs(tenant, req) // an error frame for any other version
+	} else {
+		resp = errResp(errors.New("wire: connection must open with HELLO"))
+	}
+	ok := resp[0] == statusOK
+	err = writeFramePooled(conn, resp)
+	// This is the last holder of both frames: the response is written out,
+	// the request parsed and copied from.
+	pool.Bytes.Put(req)
+	recycleResponse(resp)
+	if err != nil {
+		if !errors.Is(err, net.ErrClosed) {
+			logf("wire: %s: write: %w", conn.RemoteAddr(), err)
+		}
+		return false
+	}
+	if !ok {
+		logf("wire: %s: refused: first frame is not a HELLO for protocol version %d", conn.RemoteAddr(), protocolVersion)
+	}
+	return ok
 }

@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,28 +30,22 @@ import (
 	"minos/internal/voice"
 )
 
-// Op codes. Ops 13-16 are the server-push stream ops (protocol v3, see
-// stream.go).
+// Op codes. Numbers 1, 4 and 6 are retired (a single-shot query, miniature
+// and mode op that OpQueryPlanned and OpMiniatures replaced) and are never
+// reused; ops 13-16 are the server-push stream ops (see stream.go).
 const (
-	OpQuery      = 1
 	OpDescriptor = 2
 	OpReadPiece  = 3
-	OpMiniature  = 4
 	OpList       = 5
-	OpMode       = 6
 	OpImageView  = 7
-	// OpVoicePreview ships a whole (page-capped) voice preview in one
-	// frame.
-	//
-	// Deprecated: use the OpVoiceStream path (Client.VoiceStreamCtx) —
-	// playback can start after the first chunk instead of the last byte.
-	// The op is kept for v1/v2 peers; its response is capped at a
-	// page-sized prefix (see server.voicePreview).
+	// OpVoicePreview ships a whole voice preview in one frame, capped at a
+	// page-sized prefix (see server.voicePreview). The workstation plays it
+	// as an audio-mode miniature passes through the screen; whole parts go
+	// through OpVoiceStream.
 	OpVoicePreview = 8
 	OpStats        = 9
-	// OpHello negotiates the protocol version (see ProtocolV2/V3 in
-	// mux.go). A v1 server answers it with an unknown-op error, which the
-	// client treats as "version 1".
+	// OpHello opens every connection: the client names the protocol version
+	// it speaks and the server acknowledges it (see mux.go).
 	OpHello = 10
 	// OpMiniatures fetches up to MaxMiniatureBatch miniatures (with their
 	// driving modes) in one round trip — the batched op behind the
@@ -63,13 +56,11 @@ const (
 	// fleet. The request carries the client's current epoch; a server whose
 	// map has not moved answers "unchanged" without resending the payload.
 	OpClusterMap = 12
-	// OpQueryPlanned evaluates a planned content query: conjunctive terms
-	// plus attribute predicates (media kind, date range) pushed down to the
+	// OpQueryPlanned evaluates a content query: conjunctive terms plus
+	// attribute predicates (media kind, date range) pushed down to the
 	// server's segmented index, where the planner picks the evaluation
 	// strategy per segment. Request: [kind u8][dateFrom u32][dateTo u32]
-	// [n u32][term strings]. Pre-planner servers answer with an unknown-op
-	// error; the client falls back to OpQuery for filterless queries.
-	// (Ops 13-16 are the stream ops, see stream.go.)
+	// [n u32][term strings].
 	OpQueryPlanned = 17
 )
 
@@ -116,8 +107,7 @@ type Transport interface {
 
 // ContextTransport is a Transport that can bound one exchange with a
 // context: the call fails with the context's error when it is cancelled or
-// its deadline passes. This is the cancellation mechanism of the ctx-first
-// client API (it replaces the old TCPTransport.SetTimeout knob).
+// its deadline passes.
 type ContextTransport interface {
 	Transport
 	RoundTripCtx(ctx context.Context, req []byte) ([]byte, error)
@@ -253,23 +243,6 @@ func (h *Handler) HandleAs(tenant uint64, req []byte) []byte {
 		defer release()
 	}
 	switch op {
-	case OpQuery:
-		n, err := c.u32()
-		if err != nil {
-			return errResp(err)
-		}
-		// Cap the preallocation: n is client-controlled, and each term
-		// needs at least 4 bytes of request, so anything beyond the
-		// remaining request length fails below anyway.
-		terms := make([]string, 0, min(int(n), len(c.rest())/4+1))
-		for i := uint32(0); i < n; i++ {
-			s, err := c.str()
-			if err != nil {
-				return errResp(err)
-			}
-			terms = append(terms, s)
-		}
-		return idsResp(h.Srv.Query(terms...))
 	case OpQueryPlanned:
 		kind, err := c.u8()
 		if err != nil {
@@ -327,16 +300,6 @@ func (h *Handler) HandleAs(tenant uint64, req []byte) []byte {
 			return errResp(err)
 		}
 		return okResp(dur, data)
-	case OpMiniature:
-		id, err := c.u64()
-		if err != nil {
-			return errResp(err)
-		}
-		payload, _, ok := h.Srv.MiniatureEncoded(object.ID(id))
-		if !ok {
-			return errResp(fmt.Errorf("wire: no miniature for object %d", id))
-		}
-		return okResp(0, payload)
 	case OpMiniatures:
 		n, err := c.u32()
 		if err != nil {
@@ -373,18 +336,13 @@ func (h *Handler) HandleAs(tenant uint64, req []byte) []byte {
 		if err != nil {
 			return errResp(err)
 		}
-		neg := uint32(ProtocolV3)
-		if v < neg {
-			neg = v
-		}
-		if neg < ProtocolV1 {
+		if v != protocolVersion {
 			return errResp(fmt.Errorf("wire: unsupported protocol version %d", v))
 		}
-		payload := appendU32(nil, neg)
+		payload := appendU32(nil, protocolVersion)
 		// A fleet member ships its cluster map with the HELLO ack, so a
 		// routing client learns the shard topology in the round trip it
-		// already pays for version negotiation. Pre-map clients parse only
-		// the leading version word and ignore the rest.
+		// already pays to open the connection.
 		if _, mp, ok := h.Srv.ClusterMap(); ok {
 			payload = appendU32(payload, uint32(len(mp)))
 			payload = append(payload, mp...)
@@ -451,16 +409,6 @@ func (h *Handler) HandleAs(tenant uint64, req []byte) []byte {
 		return idsResp(h.Srv.IDs())
 	case OpStats:
 		return okResp(0, encodeStatsTagged(h.Srv.Stats()))
-	case OpMode:
-		id, err := c.u64()
-		if err != nil {
-			return errResp(err)
-		}
-		m, ok := h.Srv.Mode(object.ID(id))
-		if !ok {
-			return errResp(fmt.Errorf("wire: unknown object %d", id))
-		}
-		return okResp(0, []byte{byte(m)})
 	default:
 		return errResp(fmt.Errorf("wire: unknown op %d", op))
 	}
@@ -468,19 +416,14 @@ func (h *Handler) HandleAs(tenant uint64, req []byte) []byte {
 
 // --- stats encoding ---
 //
-// The STATS payload originally was a positional sequence of u64 counters,
-// which made every new counter depend on append order forever. The tagged
-// encoding replaces it: a marker byte, then repeated [u8 tag][u64 value]
-// fields in any order. Decoders skip unknown tags (so servers may add
-// counters freely) and tolerate absent ones (so clients keep working
-// against servers that predate a counter). The marker cannot collide with
-// a positional payload: the first positional byte is the top byte of the
-// PieceReads counter, which would require ~10^18 piece reads to reach it.
+// The STATS payload is tagged: a marker byte, then repeated [u8 tag]
+// [u64 value] fields in any order. Decoders skip unknown tags and tolerate
+// absent ones, so a counter can be added without touching any other field.
 
 const statsTagged = 0xF5
 
 // Stats field tags. Append new counters with new tags — order on the wire
-// no longer matters.
+// does not matter.
 const (
 	statsTagPieceReads      = 1
 	statsTagBytesOut        = 2
@@ -508,7 +451,7 @@ func encodeStatsTagged(st server.Stats) []byte {
 	field(statsTagCacheMiss, st.CacheMiss)
 	field(statsTagDeviceWaits, st.DeviceWaits)
 	field(statsTagDeviceWaitNanos, st.DeviceWaitNanos)
-	// Deliberately out of historical order: tagged decoding must not care.
+	// Deliberately out of tag order: tagged decoding must not care.
 	field(statsTagShed, st.Shed)
 	field(statsTagReadAheadBlocks, st.ReadAheadBlocks)
 	field(statsTagEncodedHits, st.EncodedHits)
@@ -520,6 +463,9 @@ func encodeStatsTagged(st server.Stats) []byte {
 
 func decodeStatsTagged(payload []byte) (server.Stats, error) {
 	var st server.Stats
+	if len(payload) == 0 || payload[0] != statsTagged {
+		return st, fmt.Errorf("wire: stats payload lacks the 0x%02X marker", statsTagged)
+	}
 	c := &cursor{data: payload, pos: 1} // skip the marker
 	for c.pos < len(payload) {
 		tag, err := c.u8()
@@ -556,37 +502,10 @@ func decodeStatsTagged(payload []byte) (server.Stats, error) {
 		case statsTagPoolRecycled:
 			st.PoolRecycled = int64(v)
 		default:
-			// Unknown tag from a newer server: skip it.
+			// Unknown tag: skip it.
 		}
 	}
 	return st, nil
-}
-
-// decodeStatsPositional decodes the legacy fixed-order layout still emitted
-// by pre-tagged servers: six required u64 fields plus optional appended
-// ones.
-func decodeStatsPositional(payload []byte) (server.Stats, error) {
-	cur := &cursor{data: payload}
-	var vals [7]uint64
-	for i := range vals {
-		v, err := cur.u64()
-		if err != nil {
-			if i >= 6 {
-				break
-			}
-			return server.Stats{}, err
-		}
-		vals[i] = v
-	}
-	return server.Stats{
-		PieceReads:      int64(vals[0]),
-		BytesOut:        int64(vals[1]),
-		CacheHits:       int64(vals[2]),
-		CacheMiss:       int64(vals[3]),
-		DeviceWaits:     int64(vals[4]),
-		DeviceWaitNanos: int64(vals[5]),
-		ReadAheadBlocks: int64(vals[6]),
-	}, nil
 }
 
 func encodeIDs(ids []object.ID) []byte {
@@ -612,7 +531,7 @@ func idsResp(ids []object.ID) []byte {
 // the handler appends the payload, finishResp patches the header in place.
 //
 // Ownership rule: Handle's return value may be pool-backed. The TCP serve
-// loops (v1 loop, v2 muxConn) recycle it after the frame is written;
+// loop (muxConn) recycles it after the frame is written;
 // LocalTransport hands it to the in-process client, which retains payload
 // sub-slices, so it must never recycle. Anything that is not provably the
 // last holder just lets the GC have it.
@@ -657,7 +576,7 @@ func errResp(err error) []byte {
 
 // Client is the workstation-side stub. Every call runs under a retry loop:
 // failures classified retryable (see IsRetryable) are re-issued after an
-// exponential backoff, reconnecting first (with full HELLO renegotiation)
+// exponential backoff, reconnecting first (a fresh dial, HELLO included)
 // when the failure means the connection is dead and a redial function is
 // installed (EnableReconnect). All protocol ops are idempotent reads, so
 // retrying is always safe.
@@ -730,10 +649,6 @@ func (c *Client) callCtx(ctx context.Context, req []byte) ([]byte, time.Duration
 	}
 }
 
-func (c *Client) call(req []byte) ([]byte, time.Duration, error) {
-	return c.callCtx(context.Background(), req)
-}
-
 // startCtx launches a call without waiting for its response, pipelining
 // over the transport when it supports that and falling back to a goroutine
 // per call otherwise. Pipelined calls bypass the retry loop — the browse
@@ -785,24 +700,10 @@ func parseResponse(resp []byte) ([]byte, time.Duration, error) {
 	return payload, time.Duration(durN), nil
 }
 
-// QueryCtx evaluates a content query on the server, bounded by ctx.
+// QueryCtx evaluates a term-only content query on the server, bounded by
+// ctx: a planned query without attribute predicates.
 func (c *Client) QueryCtx(ctx context.Context, terms ...string) ([]object.ID, time.Duration, error) {
-	req := []byte{OpQuery}
-	req = appendU32(req, uint32(len(terms)))
-	for _, t := range terms {
-		req = appendStr(req, t)
-	}
-	payload, dur, err := c.callCtx(ctx, req)
-	if err != nil {
-		return nil, dur, err
-	}
-	ids, err := decodeIDs(payload)
-	return ids, dur, err
-}
-
-// Query evaluates a content query on the server.
-func (c *Client) Query(terms ...string) ([]object.ID, time.Duration, error) {
-	return c.QueryCtx(context.Background(), terms...)
+	return c.QueryPlannedCtx(ctx, index.Query{Terms: terms})
 }
 
 // encodeQueryPlannedReq builds an OpQueryPlanned request message.
@@ -819,28 +720,17 @@ func encodeQueryPlannedReq(q index.Query) []byte {
 
 // QueryPlannedCtx evaluates a planned content query — conjunctive terms
 // plus attribute predicates — on the server's segmented index, bounded by
-// ctx. Against a pre-planner server the op fails as unknown; a filterless
-// query then falls back to the legacy OpQuery (same result set), while a
-// query with attribute predicates reports the error, since the old op
-// cannot honour them.
+// ctx.
 func (c *Client) QueryPlannedCtx(ctx context.Context, q index.Query) ([]object.ID, time.Duration, error) {
 	if len(q.Terms) > MaxQueryTerms {
 		return nil, 0, fmt.Errorf("wire: query of %d terms exceeds %d", len(q.Terms), MaxQueryTerms)
 	}
 	payload, dur, err := c.callCtx(ctx, encodeQueryPlannedReq(q))
 	if err != nil {
-		if isUnknownOp(err) && !q.HasFilters() {
-			return c.QueryCtx(ctx, q.Terms...)
-		}
 		return nil, dur, err
 	}
 	ids, err := decodeIDs(payload)
 	return ids, dur, err
-}
-
-// QueryPlanned evaluates a planned content query on the server.
-func (c *Client) QueryPlanned(q index.Query) ([]object.ID, time.Duration, error) {
-	return c.QueryPlannedCtx(context.Background(), q)
 }
 
 // DescriptorCtx fetches and parses an object descriptor, bounded by ctx.
@@ -854,21 +744,11 @@ func (c *Client) DescriptorCtx(ctx context.Context, id object.ID) (*descriptor.D
 	return d, dur, err
 }
 
-// Descriptor fetches and parses an object descriptor.
-func (c *Client) Descriptor(id object.ID) (*descriptor.Descriptor, time.Duration, error) {
-	return c.DescriptorCtx(context.Background(), id)
-}
-
 // ReadPieceCtx fetches an archiver-absolute byte extent, bounded by ctx.
 func (c *Client) ReadPieceCtx(ctx context.Context, off, length uint64) ([]byte, time.Duration, error) {
 	req := appendU64([]byte{OpReadPiece}, off)
 	req = appendU64(req, length)
 	return c.callCtx(ctx, req)
-}
-
-// ReadPiece fetches an archiver-absolute byte extent.
-func (c *Client) ReadPiece(off, length uint64) ([]byte, time.Duration, error) {
-	return c.ReadPieceCtx(context.Background(), off, length)
 }
 
 // ObjectPieceCtx fetches a byte extent of the archive holding object id.
@@ -880,51 +760,17 @@ func (c *Client) ObjectPieceCtx(ctx context.Context, _ object.ID, off, length ui
 	return c.ReadPieceCtx(ctx, off, length)
 }
 
-// MiniatureCtx fetches an object miniature. It rides the batched
-// OpMiniatures path (a batch of one), falling back to the legacy single-
-// shot op against servers that predate batching.
+// MiniatureCtx fetches an object miniature: a batch of one on the
+// OpMiniatures path.
 func (c *Client) MiniatureCtx(ctx context.Context, id object.ID) (*img.Bitmap, time.Duration, error) {
 	res, dur, err := c.MiniaturesCtx(ctx, []object.ID{id})
 	if err != nil {
-		if isUnknownOp(err) {
-			return c.miniatureSingle(ctx, id)
-		}
 		return nil, dur, err
 	}
 	if !res[0].OK {
 		return nil, dur, fmt.Errorf("wire: no miniature for object %d", id)
 	}
 	return res[0].Mini, dur, nil
-}
-
-// Miniature fetches an object miniature.
-//
-// Deprecated: use MiniaturesCtx — one round trip fetches a whole batch with
-// driving modes included. Miniature is kept as a thin wrapper over the
-// batched path.
-func (c *Client) Miniature(id object.ID) (*img.Bitmap, time.Duration, error) {
-	return c.MiniatureCtx(context.Background(), id)
-}
-
-// miniatureSingle is the pre-batching wire op, kept for servers that answer
-// OpMiniatures with an unknown-op error.
-func (c *Client) miniatureSingle(ctx context.Context, id object.ID) (*img.Bitmap, time.Duration, error) {
-	req := appendU64([]byte{OpMiniature}, uint64(id))
-	payload, dur, err := c.callCtx(ctx, req)
-	if err != nil {
-		return nil, dur, err
-	}
-	v, err := descriptor.DecodePart(descriptor.PartBitmap, payload)
-	if err != nil {
-		return nil, dur, err
-	}
-	return v.(*img.Bitmap), dur, nil
-}
-
-// isUnknownOp reports whether err is a server rejection of an op it does
-// not implement (an older protocol peer).
-func isUnknownOp(err error) bool {
-	return err != nil && strings.Contains(err.Error(), "unknown op")
 }
 
 // MiniatureResult is one entry of a batched miniature fetch.
@@ -943,7 +789,7 @@ type MiniatureResult struct {
 // MiniaturesCtx fetches up to MaxMiniatureBatch miniatures (plus driving
 // modes) in a single round trip, bounded by ctx; results align with ids.
 // Missing miniatures come back with OK=false rather than failing the batch.
-// This path runs under the retry loop; the pipelined MiniaturesStart does
+// This path runs under the retry loop; the pipelined StartMiniatures does
 // not.
 func (c *Client) MiniaturesCtx(ctx context.Context, ids []object.ID) ([]MiniatureResult, time.Duration, error) {
 	payload, dur, err := c.callCtx(ctx, encodeMiniaturesReq(ids))
@@ -954,13 +800,8 @@ func (c *Client) MiniaturesCtx(ctx context.Context, ids []object.ID) ([]Miniatur
 	return res, dur, err
 }
 
-// Miniatures fetches a miniature batch in one round trip.
-func (c *Client) Miniatures(ids []object.ID) ([]MiniatureResult, time.Duration, error) {
-	return c.MiniaturesCtx(context.Background(), ids)
-}
-
-// PendingMiniatures is an in-flight batched miniature fetch.
-type PendingMiniatures struct {
+// pendingMiniatures is an in-flight batched miniature fetch.
+type pendingMiniatures struct {
 	ids []object.ID
 	p   Pending
 }
@@ -981,26 +822,15 @@ type MiniatureBatch interface {
 	Wait() ([]MiniatureResult, time.Duration, error)
 }
 
-// MiniaturesStartCtx launches a batched miniature fetch without waiting —
-// the browse prefetcher keeps several of these in flight on a pipelined
+// StartMiniatures launches a batched miniature fetch without waiting — the
+// browse prefetcher keeps several of these in flight on a pipelined
 // transport while the user views the current miniature.
-func (c *Client) MiniaturesStartCtx(ctx context.Context, ids []object.ID) *PendingMiniatures {
-	return &PendingMiniatures{ids: ids, p: c.startCtx(ctx, encodeMiniaturesReq(ids))}
-}
-
-// StartMiniatures implements the workstation Backend's pipelined miniature
-// hook: it is MiniaturesStartCtx behind the interface return type.
 func (c *Client) StartMiniatures(ctx context.Context, ids []object.ID) MiniatureBatch {
-	return c.MiniaturesStartCtx(ctx, ids)
-}
-
-// MiniaturesStart launches a batched miniature fetch without waiting.
-func (c *Client) MiniaturesStart(ids []object.ID) *PendingMiniatures {
-	return c.MiniaturesStartCtx(context.Background(), ids)
+	return &pendingMiniatures{ids: ids, p: c.startCtx(ctx, encodeMiniaturesReq(ids))}
 }
 
 // Wait collects the batch's results.
-func (pm *PendingMiniatures) Wait() ([]MiniatureResult, time.Duration, error) {
+func (pm *pendingMiniatures) Wait() ([]MiniatureResult, time.Duration, error) {
 	resp, err := pm.p.Wait()
 	if err != nil {
 		return nil, 0, err
@@ -1077,11 +907,6 @@ func (c *Client) ImageViewCtx(ctx context.Context, id object.ID, name string, r 
 	return v.(*img.Bitmap), dur, nil
 }
 
-// ImageView fetches only the given rectangle of an image part.
-func (c *Client) ImageView(id object.ID, name string, r img.Rect) (*img.Bitmap, time.Duration, error) {
-	return c.ImageViewCtx(context.Background(), id, name, r)
-}
-
 // VoicePreviewCtx fetches the voice preview of an audio-mode object, played
 // "as the miniature passes through the screen" (§5), bounded by ctx.
 func (c *Client) VoicePreviewCtx(ctx context.Context, id object.ID) (*voice.Part, time.Duration, error) {
@@ -1097,16 +922,6 @@ func (c *Client) VoicePreviewCtx(ctx context.Context, id object.ID) (*voice.Part
 	return v.(*voice.Part), dur, nil
 }
 
-// VoicePreview fetches the voice preview of an audio-mode object.
-//
-// Deprecated: use VoiceStreamCtx — the credit-based voice stream starts
-// playback after the first chunk instead of buffering a whole preview, and
-// the server caps OpVoicePreview at a page-sized prefix. VoicePreviewCtx
-// remains only as the fallback for peers that did not negotiate streams.
-func (c *Client) VoicePreview(id object.ID) (*voice.Part, time.Duration, error) {
-	return c.VoicePreviewCtx(context.Background(), id)
-}
-
 // ListCtx returns all published object ids, bounded by ctx.
 func (c *Client) ListCtx(ctx context.Context) ([]object.ID, time.Duration, error) {
 	payload, dur, err := c.callCtx(ctx, []byte{OpList})
@@ -1117,22 +932,13 @@ func (c *Client) ListCtx(ctx context.Context) ([]object.ID, time.Duration, error
 	return ids, dur, err
 }
 
-// List returns all published object ids.
-func (c *Client) List() ([]object.ID, time.Duration, error) {
-	return c.ListCtx(context.Background())
-}
-
-// ModeCtx returns an object's driving mode. Like MiniatureCtx it rides the
-// batched OpMiniatures path (which ships modes alongside miniatures), with
-// a fallback to the legacy OpMode against servers that predate batching.
+// ModeCtx returns an object's driving mode. Like MiniatureCtx it is a batch
+// of one on the OpMiniatures path, which ships modes alongside miniatures.
 // Every adopted object carries a miniature, so a batch entry with OK=false
 // means the object is unknown.
 func (c *Client) ModeCtx(ctx context.Context, id object.ID) (object.Mode, error) {
 	res, _, err := c.MiniaturesCtx(ctx, []object.ID{id})
 	if err != nil {
-		if isUnknownOp(err) {
-			return c.modeSingle(ctx, id)
-		}
 		return 0, err
 	}
 	if !res[0].OK {
@@ -1141,47 +947,14 @@ func (c *Client) ModeCtx(ctx context.Context, id object.ID) (object.Mode, error)
 	return res[0].Mode, nil
 }
 
-// Mode returns an object's driving mode.
-//
-// Deprecated: use MiniaturesCtx — the batched miniature fetch ships each
-// object's driving mode with its miniature, so a separate mode round trip
-// is never needed. Mode is kept as a thin wrapper over the batched path.
-func (c *Client) Mode(id object.ID) (object.Mode, error) {
-	return c.ModeCtx(context.Background(), id)
-}
-
-// modeSingle is the pre-batching wire op, kept for servers that answer
-// OpMiniatures with an unknown-op error.
-func (c *Client) modeSingle(ctx context.Context, id object.ID) (object.Mode, error) {
-	req := appendU64([]byte{OpMode}, uint64(id))
-	payload, _, err := c.callCtx(ctx, req)
-	if err != nil {
-		return 0, err
-	}
-	if len(payload) != 1 {
-		return 0, errShort
-	}
-	return object.Mode(payload[0]), nil
-}
-
 // StatsCtx fetches the server's request/cache/contention counters — the
 // load simulation and cmd/minos-server use it to report device contention.
-// It decodes both the tagged encoding and the positional layout of
-// pre-tagged servers.
 func (c *Client) StatsCtx(ctx context.Context) (server.Stats, error) {
 	payload, _, err := c.callCtx(ctx, []byte{OpStats})
 	if err != nil {
 		return server.Stats{}, err
 	}
-	if len(payload) > 0 && payload[0] == statsTagged {
-		return decodeStatsTagged(payload)
-	}
-	return decodeStatsPositional(payload)
-}
-
-// Stats fetches the server's request/cache/contention counters.
-func (c *Client) Stats() (server.Stats, error) {
-	return c.StatsCtx(context.Background())
+	return decodeStatsTagged(payload)
 }
 
 // ClusterMapCtx fetches the server's encoded cluster map when it has moved
@@ -1208,7 +981,7 @@ func (c *Client) ClusterMapCtx(ctx context.Context, epoch uint64) (payload []byt
 // time into dur if non-nil.
 func (c *Client) Fetch(dur *time.Duration) descriptor.FetchFunc {
 	return func(ref descriptor.PartRef) ([]byte, error) {
-		data, t, err := c.ReadPiece(ref.Offset, ref.Length)
+		data, t, err := c.ReadPieceCtx(context.Background(), ref.Offset, ref.Length)
 		if dur != nil {
 			*dur += t
 		}

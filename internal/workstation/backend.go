@@ -20,7 +20,7 @@ import (
 
 // Backend is everything a Session needs from the retrieval side: ctx-first
 // queries, descriptor and piece reads, batched + pipelined miniatures, and
-// the v3 server-push streams. Both *wire.Client (one server) and
+// the server-push streams. Both *wire.Client (one server) and
 // *cluster.Client (routed fleet) implement it, so one Session type drives
 // single-server and fleet deployments identically — the gateway, the CLI
 // and the tests construct a Session the same way over either.
@@ -52,13 +52,14 @@ type Backend interface {
 	StartMiniatures(ctx context.Context, ids []object.ID) wire.MiniatureBatch
 	ModeCtx(ctx context.Context, id object.ID) (object.Mode, error)
 
-	// VoicePreviewCtx fetches the page-sized voice preview — the batch
-	// fallback for peers without the v3 stream feature.
+	// VoicePreviewCtx fetches the page-sized voice preview played as an
+	// audio-mode miniature passes through the screen — and the batch
+	// fallback for transports that cannot open streams.
 	VoicePreviewCtx(ctx context.Context, id object.ID) (*voice.Part, time.Duration, error)
 
 	// VoiceStreamCtx and MiniatureStreamCtx open credit-based server-push
-	// streams (DESIGN.md §10). Peers without the feature fail the open
-	// with an error wire.StreamFallback classifies.
+	// streams (DESIGN.md §10). Transports without the feature fail the
+	// open with an error wire.StreamFallback classifies.
 	VoiceStreamCtx(ctx context.Context, id object.ID, from uint64, window int) (wire.VoiceStreamInfo, wire.StreamConn, error)
 	MiniatureStreamCtx(ctx context.Context, id object.ID, from uint64, window int) (wire.MiniatureStreamInfo, wire.StreamConn, error)
 

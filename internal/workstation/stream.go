@@ -15,9 +15,9 @@ import (
 // as one response and presenting it afterwards, the session opens a
 // credit-based server-push stream and presents while fetching — playback
 // starts after the first PCM chunk, a browse screen shows a usable (coarse)
-// miniature after the first progressive pass. Peers that did not negotiate
-// the stream feature answer the open with "unknown op"; StreamFallback
-// routes those sessions to the old single-frame paths unchanged.
+// miniature after the first progressive pass. A backend whose transport
+// cannot open streams fails the open with wire.ErrStreamUnsupported;
+// StreamFallback routes those sessions to the single-frame batch paths.
 
 // voiceStreamWindow is the initial (and sustained) credit window for voice
 // playback: a few chunks of headroom so the server stays ahead of the
@@ -52,8 +52,8 @@ type VoicePlayback struct {
 // after the end frame) with the chunk's link arrival time — deterministic
 // harnesses use it to drive the virtual clock while real sessions pass nil.
 //
-// A peer without the stream feature falls back to the batched voice
-// preview path: same audible result for short parts, Streamed=false.
+// A backend whose transport cannot open streams falls back to the batched
+// voice preview path: same audible result for short parts, Streamed=false.
 func (s *Session) PlayVoiceStreamCtx(ctx context.Context, id object.ID, advance func(at time.Duration)) (VoicePlayback, error) {
 	info, sc, err := s.be.VoiceStreamCtx(ctx, id, 0, voiceStreamWindow)
 	if err != nil {

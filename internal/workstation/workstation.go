@@ -80,13 +80,6 @@ func New(be Backend, cfg core.Config) *Session {
 	return s
 }
 
-// NewWithClient builds a session over a single-server protocol client. It
-// is New with the concrete parameter type spelled out — kept so call sites
-// written before the Backend interface existed keep compiling verbatim.
-func NewWithClient(client *wire.Client, cfg core.Config) *Session {
-	return New(client, cfg)
-}
-
 // Manager exposes the presentation manager driving this session's screen.
 func (s *Session) Manager() *core.Manager { return s.mgr }
 
@@ -120,9 +113,7 @@ func (s *Session) QueryCtx(ctx context.Context, terms ...string) (int, error) {
 
 // QueryPlannedCtx submits a planned content query — conjunctive terms plus
 // attribute predicates (media kind, date range) — and installs the
-// qualifying objects as the browsing result set. Filterless queries take
-// the same path; against a pre-planner server the backend falls back to
-// the legacy query op for them.
+// qualifying objects as the browsing result set.
 func (s *Session) QueryPlannedCtx(ctx context.Context, q index.Query) (int, error) {
 	ids, dur, err := s.be.QueryPlannedCtx(ctx, q)
 	if err != nil {
@@ -137,11 +128,6 @@ func (s *Session) QueryPlannedCtx(ctx context.Context, q index.Query) (int, erro
 		s.pf.invalidate()
 	}
 	return len(ids), nil
-}
-
-// Query submits a content query and installs the result set.
-func (s *Session) Query(terms ...string) (int, error) {
-	return s.QueryCtx(context.Background(), terms...)
 }
 
 // RefineCtx narrows the current result set with additional terms — the §5
@@ -161,11 +147,6 @@ func (s *Session) RefineCtx(ctx context.Context, terms ...string) (int, error) {
 		s.pf.invalidate()
 	}
 	return len(s.results), nil
-}
-
-// Refine narrows the current result set with additional terms.
-func (s *Session) Refine(terms ...string) (int, error) {
-	return s.RefineCtx(context.Background(), terms...)
 }
 
 // intersect keeps the members of base that appear in hits, preserving
@@ -205,8 +186,7 @@ func (s *Session) maybeResync(ctx context.Context) {
 	}
 	var rebuilt []object.ID
 	for i, q := range s.queryLog {
-		// Replay preserves each entry's attribute predicates; the backend
-		// degrades filterless entries to the legacy op on old servers.
+		// Replay preserves each entry's attribute predicates.
 		ids, dur, err := s.be.QueryPlannedCtx(ctx, q)
 		if err != nil {
 			// Keep the stale result set and the unsynchronized counter:
@@ -247,12 +227,6 @@ func (s *Session) NextMiniatureCtx(ctx context.Context) (BrowseStep, error) {
 	return s.stepAtCursor(ctx)
 }
 
-// NextMiniature advances the sequential browsing interface.
-func (s *Session) NextMiniature() (id object.ID, mini *img.Bitmap, done bool, err error) {
-	st, err := s.NextMiniatureCtx(context.Background())
-	return st.ID, st.Mini, st.Done, err
-}
-
 // PrevMiniatureCtx steps the browsing cursor back.
 func (s *Session) PrevMiniatureCtx(ctx context.Context) (BrowseStep, error) {
 	s.maybeResync(ctx)
@@ -261,12 +235,6 @@ func (s *Session) PrevMiniatureCtx(ctx context.Context) (BrowseStep, error) {
 	}
 	s.cursor--
 	return s.stepAtCursor(ctx)
-}
-
-// PrevMiniature steps the browsing cursor back.
-func (s *Session) PrevMiniature() (id object.ID, mini *img.Bitmap, done bool, err error) {
-	st, err := s.PrevMiniatureCtx(context.Background())
-	return st.ID, st.Mini, st.Done, err
 }
 
 func (s *Session) stepAtCursor(ctx context.Context) (BrowseStep, error) {
@@ -322,16 +290,11 @@ func (s *Session) stepAtCursor(ctx context.Context) (BrowseStep, error) {
 	return BrowseStep{ID: id, Mini: mini, Mode: mode}, nil
 }
 
-// ShowBrowser renders the sequential browsing interface on the session's
-// screen: a filmstrip of the result set's miniatures with the cursor's
-// miniature highlighted, as §5 describes for browsing "a large number of
-// objects that may qualify". The visible miniatures are fetched in batched
-// round trips (MaxMiniatureBatch per OpMiniatures), never one by one.
-func (s *Session) ShowBrowser() error {
-	return s.ShowBrowserCtx(context.Background())
-}
-
-// ShowBrowserCtx renders the sequential browsing interface, bounded by ctx.
+// ShowBrowserCtx renders the sequential browsing interface on the session's
+// screen, bounded by ctx: a filmstrip of the result set's miniatures with
+// the cursor's miniature highlighted, as §5 describes for browsing "a large
+// number of objects that may qualify". The visible miniatures are fetched in
+// batched round trips (MaxMiniatureBatch per OpMiniatures), never one by one.
 func (s *Session) ShowBrowserCtx(ctx context.Context) error {
 	scr := s.mgr.Screen()
 	w, h := scr.ContentWidth(), scr.ContentHeight()
