@@ -10,65 +10,58 @@ import (
 	"testing"
 	"time"
 
+	"minos/internal/archiver"
 	"minos/internal/demo"
 	"minos/internal/descriptor"
 	"minos/internal/disk"
 	"minos/internal/figures"
 	"minos/internal/index"
+	"minos/internal/loadgen"
 	"minos/internal/object"
 	"minos/internal/server"
 	"minos/internal/text"
-	"minos/internal/vclock"
 	"minos/internal/voice"
 )
 
-// A-DEVICE: the same closed load against the optical vs the magnetic
-// timing model. The optical archiver must saturate earlier — §5's rationale
-// for adding "one or more high performance magnetic disks" to the server.
+// A-DEVICE: the same closed load (E-QUEUE, FCFS, no cache) against a
+// server whose archive device runs the optical vs the magnetic timing
+// model. The optical archiver must saturate earlier — §5's rationale for
+// adding "one or more high performance magnetic disks" to the server.
 func BenchmarkAblationDeviceKind(b *testing.B) {
-	run := func(b *testing.B, dev disk.Device) server.SimStats {
-		var st server.SimStats
-		for i := 0; i < b.N; i++ {
-			clock := vclock.New()
-			q := server.NewDeviceQueue(clock, dev, server.FCFS, nil)
-			issued := 0
-			var issue func(client int)
-			issue = func(client int) {
-				if issued >= 120 {
-					return
+	for _, kind := range []struct {
+		name string
+		geo  disk.Geometry
+	}{
+		{"optical", disk.OpticalGeometry(4096)},
+		{"magnetic", disk.MagneticGeometry(4096)},
+	} {
+		b.Run(kind.name, func(b *testing.B) {
+			list, err := demo.Objects(8)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var st loadgen.QueueStats
+			for i := 0; i < b.N; i++ {
+				dev, err := disk.NewOptical(kind.name, kind.geo)
+				if err != nil {
+					b.Fatal(err)
 				}
-				issued++
-				off := uint64((issued * 37 % 512) * dev.BlockSize())
-				q.Submit(off, 8192, func(time.Duration) {
-					clock.AfterFunc(20*time.Millisecond, func() { issue(client) })
+				srv := server.New(archiver.New(dev), server.WithCache(0))
+				for _, e := range list {
+					if _, err := srv.Publish(e.Obj); err != nil {
+						b.Fatal(err)
+					}
+				}
+				st = loadgen.RunQueue(srv, loadgen.QueueConfig{
+					Clients: 8, RequestsEach: 15,
+					ThinkTime: 20 * time.Millisecond,
+					PieceLen:  8192, Seed: 7,
 				})
 			}
-			for c := 0; c < 8; c++ {
-				issue(c)
-			}
-			elapsed := clock.Run(0)
-			st = q.Stats(elapsed)
-		}
-		return st
+			b.ReportMetric(float64(st.Mean.Milliseconds()), "sim-mean-ms")
+			b.ReportMetric(st.Utilization, "utilization")
+		})
 	}
-	b.Run("optical", func(b *testing.B) {
-		dev, err := disk.NewOptical("opt", disk.OpticalGeometry(1024))
-		if err != nil {
-			b.Fatal(err)
-		}
-		st := run(b, dev)
-		b.ReportMetric(float64(st.Mean.Milliseconds()), "sim-mean-ms")
-		b.ReportMetric(st.Utilization, "utilization")
-	})
-	b.Run("magnetic", func(b *testing.B) {
-		dev, err := disk.NewMagnetic("mag", disk.MagneticGeometry(1024))
-		if err != nil {
-			b.Fatal(err)
-		}
-		st := run(b, dev)
-		b.ReportMetric(float64(st.Mean.Milliseconds()), "sim-mean-ms")
-		b.ReportMetric(st.Utilization, "utilization")
-	})
 }
 
 // A-CACHESIZE: hit rate of the re-read browsing workload as the block
@@ -187,15 +180,15 @@ func BenchmarkAblationDescriptorOverhead(b *testing.B) {
 
 // A-SCHED: all three schedulers under heavy load on the optical device.
 func BenchmarkAblationSchedulers(b *testing.B) {
-	for _, kind := range []server.SchedKind{server.FCFS, server.SSTF, server.SCAN} {
+	for _, kind := range []loadgen.Discipline{loadgen.FCFS, loadgen.SSTF, loadgen.SCAN} {
 		b.Run(kind.String(), func(b *testing.B) {
-			var st server.SimStats
+			var st loadgen.QueueStats
 			for i := 0; i < b.N; i++ {
 				corpus, err := demo.Build(1<<15, 16)
 				if err != nil {
 					b.Fatal(err)
 				}
-				st = corpus.Server.SimulateLoad(server.LoadConfig{
+				st = loadgen.RunQueue(corpus.Server, loadgen.QueueConfig{
 					Clients: 24, RequestsEach: 8,
 					ThinkTime: 10 * time.Millisecond,
 					PieceLen:  4096, Sched: kind, Seed: 7,

@@ -18,6 +18,7 @@ import (
 	"minos/internal/figures"
 	img "minos/internal/image"
 	"minos/internal/index"
+	"minos/internal/loadgen"
 	"minos/internal/object"
 	"minos/internal/screen"
 	"minos/internal/server"
@@ -389,15 +390,15 @@ func BenchmarkETourPlayback(b *testing.B) {
 
 func BenchmarkEQueueServerLoad(b *testing.B) {
 	for _, clients := range []int{1, 4, 16} {
-		for _, sched := range []server.SchedKind{server.FCFS, server.SSTF} {
+		for _, sched := range []loadgen.Discipline{loadgen.FCFS, loadgen.SSTF} {
 			b.Run(fmt.Sprintf("clients%d/%s", clients, sched), func(b *testing.B) {
-				var st server.SimStats
+				var st loadgen.QueueStats
 				for i := 0; i < b.N; i++ {
 					corpus, err := demo.Build(1<<15, 16)
 					if err != nil {
 						b.Fatal(err)
 					}
-					st = corpus.Server.SimulateLoad(server.LoadConfig{
+					st = loadgen.RunQueue(corpus.Server, loadgen.QueueConfig{
 						Clients: clients, RequestsEach: 10,
 						ThinkTime: 50 * time.Millisecond,
 						PieceLen:  8192, Sched: sched, Seed: 99,

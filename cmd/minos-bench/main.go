@@ -421,6 +421,10 @@ func parseBench(pkg, out string) ([]Result, error) {
 	return res, nil
 }
 
+// ms reports a duration in (fractional) milliseconds, the unit of every
+// modelled time in the report.
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
 // runLoad builds the standard E-LOAD corpus and drives one mass-session
 // run in-process (the harness is deterministic: same flags, same report).
 func runLoad(sessions int, duration time.Duration, maxInFlight int, seed uint64) (*LoadReport, error) {
@@ -438,7 +442,6 @@ func runLoad(sessions int, duration time.Duration, maxInFlight int, seed uint64)
 	if err != nil {
 		return nil, err
 	}
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 	return &LoadReport{
 		Sessions:      res.Sessions,
 		DurationMs:    ms(duration),
@@ -465,7 +468,6 @@ func runLoad(sessions int, duration time.Duration, maxInFlight int, seed uint64)
 // the 2-shard replica-failover experiment. Deterministic: same flags,
 // same report.
 func runShard(perShard int, duration time.Duration, maxInFlight int, seed uint64) (*ShardReport, error) {
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 	sr := &ShardReport{
 		SessionsPerShard: perShard,
 		DurationMs:       ms(duration),
@@ -546,7 +548,6 @@ func runShard(perShard int, duration time.Duration, maxInFlight int, seed uint64
 // a fresh standard corpus, then the same-scale direct-client E-LOAD run as
 // baseline. Deterministic: same flags, same report.
 func runGate(sessions int, duration time.Duration, pool, slots int, seed uint64) (*GateReport, error) {
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 	srv, err := loadgen.BuildCorpus(1<<15, 60, 12)
 	if err != nil {
 		return nil, err
@@ -612,7 +613,6 @@ func runStream(cells, seconds, seed int) (*StreamReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 	return &StreamReport{
 		Seed:              seed,
 		VoiceSeconds:      res.VoiceSeconds,
@@ -649,7 +649,6 @@ func runIndex(docs, queries, workers int, seed uint64) (*IndexReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 	us := func(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
 	return &IndexReport{
 		Docs:            res.Docs,

@@ -47,6 +47,7 @@ import (
 	"minos/internal/demo"
 	img "minos/internal/image"
 	"minos/internal/index"
+	"minos/internal/loadgen"
 	"minos/internal/object"
 	"minos/internal/screen"
 	"minos/internal/server"
@@ -409,14 +410,14 @@ func parseUnit(s string) (text.Unit, error) {
 }
 
 func simulate(srv *server.Server, clients, requests int, sched string) error {
-	var kind server.SchedKind
+	var kind loadgen.Discipline
 	switch sched {
 	case "fcfs":
-		kind = server.FCFS
+		kind = loadgen.FCFS
 	case "sstf":
-		kind = server.SSTF
+		kind = loadgen.SSTF
 	case "scan":
-		kind = server.SCAN
+		kind = loadgen.SCAN
 	default:
 		return fmt.Errorf("unknown scheduler %q", sched)
 	}
@@ -425,7 +426,7 @@ func simulate(srv *server.Server, clients, requests int, sched string) error {
 		if c < 1 {
 			c = 1
 		}
-		st := srv.SimulateLoad(server.LoadConfig{
+		st := loadgen.RunQueue(srv, loadgen.QueueConfig{
 			Clients: c, RequestsEach: requests,
 			ThinkTime: 100 * time.Millisecond, PieceLen: 8192,
 			Sched: kind, Seed: 42,

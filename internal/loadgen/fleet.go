@@ -3,13 +3,11 @@ package loadgen
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"minos/internal/cluster"
 	"minos/internal/demo"
 	"minos/internal/object"
 	"minos/internal/server"
-	"minos/internal/vclock"
 )
 
 // Fleet is a sharded object-server population for the load harness: the
@@ -102,48 +100,37 @@ func BuildFleet(blocks, fillers, spoken, shards, vnodes int, replicas bool) (*Fl
 
 // RunFleet drives cfg.Sessions sessions against the fleet on the virtual
 // clock and reports the measured result. Every shard primary (and replica)
-// gets cfg.MaxInFlight admission slots and its own cfg.Heads-head device
-// station — "same per-shard config", so fleet width is the only variable
-// in a scaling experiment. Identical (fleet corpus, Config) inputs produce
+// gets cfg.MaxInFlight admission slots and its own one-head device station
+// — "same per-shard config", so fleet width is the only variable in a
+// scaling experiment. Identical (fleet corpus, Config) inputs produce
 // identical Results.
 func RunFleet(f *Fleet, cfg Config) (Result, error) {
 	if f == nil || len(f.Shards) == 0 {
 		return Result{}, fmt.Errorf("loadgen: empty fleet")
 	}
-	if cfg.Sessions <= 0 {
-		return Result{}, fmt.Errorf("loadgen: Sessions must be positive")
-	}
-	if cfg.StepsEach <= 0 && cfg.Duration <= 0 {
-		return Result{}, fmt.Errorf("loadgen: one of StepsEach or Duration must be set")
+	pop, err := newPopulation(cfg.Sessions, cfg.StepsEach, cfg.Duration)
+	if err != nil {
+		return Result{}, err
 	}
 	if cfg.FailShardAt > 0 && (cfg.FailShard < 0 || cfg.FailShard >= len(f.Shards)) {
 		return Result{}, fmt.Errorf("loadgen: FailShard %d out of range [0,%d)", cfg.FailShard, len(f.Shards))
 	}
-	if cfg.Heads <= 0 {
-		cfg.Heads = 1
-	}
-	if cfg.Link == (LinkModel{}) {
-		cfg.Link = DefaultLink()
-	}
-	scen := cfg.Scenarios
-	if len(scen) == 0 {
-		scen = DefaultScenarios()
-	}
+	scen := DefaultScenarios()
 
 	h := &harness{
-		clock: vclock.New(),
-		ring:  f.Ring,
-		cfg:   cfg,
-		waits: make([]int64, len(WaitBounds)+2),
+		population: pop,
+		ring:       f.Ring,
+		cfg:        cfg,
 	}
+	// One head per station: the paper's single optical head.
 	h.nodes = make([]*node, len(f.Shards))
 	for i, sh := range f.Shards {
 		sh.Primary.SetMaxInFlight(cfg.MaxInFlight)
 		n := &node{shard: i, primary: sh.Primary, replica: sh.Replica}
-		n.pst = &station{h: h, heads: cfg.Heads}
+		n.pst = newStation(h.clock, 1, FCFS, nil)
 		if sh.Replica != nil {
 			sh.Replica.SetMaxInFlight(cfg.MaxInFlight)
-			n.rst = &station{h: h, heads: cfg.Heads}
+			n.rst = newStation(h.clock, 1, FCFS, nil)
 		}
 		h.nodes[i] = n
 	}
@@ -157,21 +144,17 @@ func RunFleet(f *Fleet, cfg Config) (Result, error) {
 	for i := range h.sessions {
 		s := &session{
 			h:      h,
-			id:     i,
 			tenant: uint64(i) + 1,
 			scIdx:  i % len(scen),
 			sc:     scen[i%len(scen)],
 			hot:    i < cfg.HotSessions,
-			rng:    (cfg.Seed+1)*0x9E3779B97F4A7C15 + uint64(i)*0xBF58476D1CE4E5B9 + 1,
+		}
+		s.actor = actor{pop: &h.population, rng: sessionRNG(cfg.Seed, i), begin: s.beginStep}
+		if !s.hot {
+			s.think, s.jitter = s.sc.Think, s.sc.ThinkJitter
 		}
 		h.sessions[i] = s
-		// Stagger starts across one think window so the fleet does not
-		// arrive as a single synchronized burst.
-		window := s.sc.Think + s.sc.ThinkJitter
-		if s.hot || window <= 0 {
-			window = time.Millisecond
-		}
-		h.clock.AfterFunc(time.Duration(s.rand(uint64(window))), s.beginStep)
+		s.launch()
 	}
 	if cfg.FailShardAt > 0 {
 		h.clock.AfterFunc(cfg.FailShardAt, func() {

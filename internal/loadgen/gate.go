@@ -14,18 +14,17 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sort"
 	"time"
 
 	"minos/internal/gateway"
 	"minos/internal/object"
 	"minos/internal/server"
-	"minos/internal/vclock"
 	"minos/internal/wire"
 	"minos/internal/workstation"
 )
 
-// GateConfig parameterizes one gateway harness run.
+// GateConfig parameterizes one gateway harness run. Every session runs the
+// §6 office mix, and pushes ride webLink to the browser.
 type GateConfig struct {
 	// Sessions is the number of concurrent web browse sessions.
 	Sessions int
@@ -37,24 +36,12 @@ type GateConfig struct {
 	Duration time.Duration
 	// Seed drives every random choice in the run.
 	Seed uint64
-	// Scenario is the per-session step mix (zero value = Office()).
-	Scenario Scenario
 	// PoolSize is the number of shared mux backend connections the
 	// gateway multiplexes sessions over (default max(1, Sessions/8)).
 	PoolSize int
 	// StepSlots bounds backend-bound requests in flight across the
 	// gateway, fair-shared per session (0 = unbounded).
 	StepSlots int
-	// WebLink models the gateway↔browser hop the pushes ride (zero value
-	// = DefaultWebLink: T1-era 1.5 Mbit/s at 5 ms).
-	WebLink LinkModel
-}
-
-// DefaultWebLink is the browser-side link model: a T1-class 1.5 Mbit/s
-// pipe with wide-area 5 ms propagation — deliberately slower than the
-// backend Ethernet, as the web hop was.
-func DefaultWebLink() LinkModel {
-	return LinkModel{Latency: 5 * time.Millisecond, Bandwidth: 1_500_000 / 8}
 }
 
 // GateResult is the measured outcome of one RunGate. Identical (corpus,
@@ -85,59 +72,31 @@ type GateResult struct {
 	Hub gateway.Stats
 }
 
-// gateHarness is the run state; single-goroutine inside Clock.Run.
+// gateHarness is the run state of the E-GATE experiment: a kernel
+// population of web sessions behind one gateway hub.
 type gateHarness struct {
-	clock *vclock.Clock
+	population
 	cfg   GateConfig
+	sc    Scenario // the §6 office mix, every session's
 	hub   *gateway.Hub
 	lts   []*wire.LocalTransport
 	terms []string
 
-	sessions  []*gateSession
-	latencies []time.Duration
-	steps     int64
-	queries   int64
-	browses   int64
-	opens     int64
-	offered   int64
-	sheds     int64
-	degraded  int64
+	queries int64
+	browses int64
+	opens   int64
 }
 
-// gateSession is one simulated web user behind the gateway.
+// gateSession is one simulated web user behind the gateway: a kernel actor
+// whose every step first passes the gateway's fair-share gate.
 type gateSession struct {
+	actor
 	h   *gateHarness
 	sid uint64
-	sc  Scenario
-	rng uint64
 
-	steps     int64
-	hits      int       // result count of the last successful query
-	lastObj   object.ID // last object a step landed on (open target)
-	stepStart time.Duration
-	attempts  int
-	current   func()
-	release   func() // held admission slot for the in-flight step
-}
-
-func (s *gateSession) rand(mod uint64) uint64 {
-	s.rng ^= s.rng << 13
-	s.rng ^= s.rng >> 7
-	s.rng ^= s.rng << 17
-	if mod == 0 {
-		return s.rng
-	}
-	return s.rng % mod
-}
-
-func (s *gateSession) done() bool {
-	if s.h.cfg.StepsEach > 0 && s.steps >= int64(s.h.cfg.StepsEach) {
-		return true
-	}
-	if s.h.cfg.Duration > 0 && s.h.clock.Now() >= s.h.cfg.Duration {
-		return true
-	}
-	return false
+	hits    int       // result count of the last successful query
+	lastObj object.ID // last object a step landed on (open target)
+	release func()    // held admission slot for the in-flight step
 }
 
 // RunGate opens cfg.Sessions gateway sessions over a cfg.PoolSize backend
@@ -145,26 +104,15 @@ func (s *gateSession) done() bool {
 // server should be freshly built and have read-ahead disabled (the
 // harness is single-threaded).
 func RunGate(srv *server.Server, cfg GateConfig) (GateResult, error) {
-	if cfg.Sessions <= 0 {
-		return GateResult{}, fmt.Errorf("loadgen: Sessions must be positive")
-	}
-	if cfg.StepsEach <= 0 && cfg.Duration <= 0 {
-		return GateResult{}, fmt.Errorf("loadgen: one of StepsEach or Duration must be set")
-	}
-	if cfg.Scenario == (Scenario{}) {
-		cfg.Scenario = Office()
+	pop, err := newPopulation(cfg.Sessions, cfg.StepsEach, cfg.Duration)
+	if err != nil {
+		return GateResult{}, err
 	}
 	if cfg.PoolSize <= 0 {
-		cfg.PoolSize = cfg.Sessions / 8
-		if cfg.PoolSize < 1 {
-			cfg.PoolSize = 1
-		}
-	}
-	if cfg.WebLink == (LinkModel{}) {
-		cfg.WebLink = DefaultWebLink()
+		cfg.PoolSize = max(1, cfg.Sessions/8)
 	}
 
-	h := &gateHarness{clock: vclock.New(), cfg: cfg}
+	h := &gateHarness{population: pop, cfg: cfg, sc: Office()}
 	backends := make([]workstation.Backend, cfg.PoolSize)
 	h.lts = make([]*wire.LocalTransport, cfg.PoolSize)
 	for i := range backends {
@@ -198,95 +146,50 @@ func RunGate(srv *server.Server, cfg GateConfig) (GateResult, error) {
 		h.terms = queryTerms
 	}
 
-	h.sessions = make([]*gateSession, cfg.Sessions)
-	for i := range h.sessions {
+	for i := 0; i < cfg.Sessions; i++ {
 		sid, err := hub.Open()
 		if err != nil {
 			return GateResult{}, fmt.Errorf("loadgen: open gateway session %d: %w", i, err)
 		}
-		s := &gateSession{
-			h:   h,
-			sid: sid,
-			sc:  cfg.Scenario,
-			rng: (cfg.Seed+1)*0x9E3779B97F4A7C15 + uint64(i)*0xBF58476D1CE4E5B9 + 1,
+		s := &gateSession{h: h, sid: sid}
+		s.actor = actor{
+			pop: &h.population, rng: sessionRNG(cfg.Seed, i), begin: s.beginStep,
+			think: h.sc.Think, jitter: h.sc.ThinkJitter,
 		}
-		h.sessions[i] = s
-		window := s.sc.Think + s.sc.ThinkJitter
-		if window <= 0 {
-			window = time.Millisecond
-		}
-		h.clock.AfterFunc(time.Duration(s.rand(uint64(window))), s.beginStep)
+		s.launch()
 	}
 	h.clock.Run(0)
 	return h.result(), nil
 }
 
 func (s *gateSession) beginStep() {
-	if s.done() {
-		return
-	}
-	s.stepStart = s.h.clock.Now()
-	s.attempts = 0
-	switch s.pickKind() {
+	var step func()
+	switch s.h.sc.pick(s.rng, s.hits > 0, false) {
 	case kindQuery:
-		s.current = s.doQuery
+		step = s.doQuery
 	case kindPiece:
-		s.current = s.doOpen
+		step = s.doOpen
 	default:
-		// Browse and audio steps both advance the cursor: an audio
-		// object's step plays its preview as the miniature passes (§5),
-		// which the gateway delivers in the same push.
-		s.current = s.doStep
+		// Browse steps advance the cursor; an audio object's step plays its
+		// preview as the miniature passes (§5), which the gateway delivers
+		// in the same push, so audio folds into browsing.
+		step = s.doStep
 	}
-	s.admit(s.current)
+	s.current = func() { s.gated(step) }
+	s.current()
 }
 
-func (s *gateSession) pickKind() int {
-	if s.hits == 0 {
-		return kindQuery
-	}
-	q, b, p, a := s.sc.QueryW, s.sc.BrowseW, s.sc.PieceW, s.sc.AudioW
-	r := int(s.rand(uint64(q + b + p + a)))
-	switch {
-	case r < q:
-		return kindQuery
-	case r < q+b+a:
-		return kindBrowse
-	default:
-		return kindPiece
-	}
-}
-
-// admit passes the gateway's fair-share gate, holding the slot across the
+// gated passes the gateway's fair-share gate, holding the slot across the
 // step's whole virtual span — exactly what the HTTP/WS transports do with
-// wall-clock spans. Sheds back off with jitter like the wire client; past
-// the budget the step degrades (the browser keeps its last frame).
-func (s *gateSession) admit(step func()) {
-	s.h.offered++
-	s.attempts++
-	release, ok := s.h.hub.Admission().Admit(s.sid)
-	if !ok {
-		s.h.sheds++
-		if s.attempts >= shedMaxAttempts {
-			s.h.degraded++
-			s.complete(nil, s.h.cfg.WebLink.transfer(0))
-			return
-		}
-		backoff := shedBaseDelay << (s.attempts - 1)
-		if backoff > shedMaxDelay {
-			backoff = shedMaxDelay
-		}
-		delay := backoff/2 + time.Duration(s.rand(uint64(backoff)))
-		s.h.clock.AfterFunc(delay, func() {
-			if s.h.cfg.Duration > 0 && s.h.clock.Now() >= s.h.cfg.Duration {
-				return
-			}
-			s.admit(step)
+// wall-clock spans. Past the shed budget the step degrades (the browser
+// keeps its last frame).
+func (s *gateSession) gated(step func()) {
+	s.admit(func() (func(), bool) { return s.h.hub.Admission().Admit(s.sid) },
+		webLink.transfer(0),
+		func(release func()) {
+			s.release = release
+			step()
 		})
-		return
-	}
-	s.release = release
-	step()
 }
 
 // backendCost measures the virtual backend cost of fn: the link time the
@@ -307,28 +210,15 @@ func (s *gateSession) backendCost(fn func() error) (time.Duration, error) {
 	return (lt.Stats().LinkTime - linkBefore) + (ws.FetchTime - fetchBefore), nil
 }
 
-// complete finishes the step after the push crosses the web link, then
-// releases the admission slot and schedules the next step.
+// complete finishes the step after the push crosses the web link, handing
+// back the admission slot as it lands.
 func (s *gateSession) complete(ev *gateway.Event, cost time.Duration) {
-	push := cost
 	if ev != nil {
-		push += s.h.cfg.WebLink.transfer(eventBytes(*ev))
+		cost += webLink.transfer(eventBytes(*ev))
 	}
 	rel := s.release
 	s.release = nil
-	s.h.clock.AfterFunc(push, func() {
-		if rel != nil {
-			rel()
-		}
-		s.h.latencies = append(s.h.latencies, s.h.clock.Now()-s.stepStart)
-		s.steps++
-		s.h.steps++
-		think := s.sc.Think
-		if s.sc.ThinkJitter > 0 {
-			think += time.Duration(s.rand(uint64(s.sc.ThinkJitter)))
-		}
-		s.h.clock.AfterFunc(think, s.beginStep)
-	})
+	s.finishAfter(cost, rel)
 }
 
 // eventBytes is the push payload size: the JSON event on the text channel
@@ -342,7 +232,7 @@ func eventBytes(ev gateway.Event) int {
 }
 
 func (s *gateSession) doQuery() {
-	term := s.h.terms[s.rand(uint64(len(s.h.terms)))]
+	term := s.h.terms[s.rng.below(uint64(len(s.h.terms)))]
 	var hits int
 	cost, err := s.backendCost(func() error {
 		n, err := s.h.hub.Query(context.Background(), s.sid, term)
@@ -351,13 +241,13 @@ func (s *gateSession) doQuery() {
 	})
 	if err != nil {
 		s.h.degraded++
-		s.complete(nil, s.h.cfg.WebLink.transfer(0))
+		s.complete(nil, webLink.transfer(0))
 		return
 	}
 	s.hits = hits
 	s.h.queries++
 	// The hit list returns to the browser as a small JSON id array.
-	s.complete(nil, cost+s.h.cfg.WebLink.transfer(16+8*hits))
+	s.complete(nil, cost+webLink.transfer(16+8*hits))
 }
 
 func (s *gateSession) doStep() {
@@ -369,7 +259,7 @@ func (s *gateSession) doStep() {
 	})
 	if err != nil {
 		s.h.degraded++
-		s.complete(nil, s.h.cfg.WebLink.transfer(0))
+		s.complete(nil, webLink.transfer(0))
 		return
 	}
 	if ev.Done {
@@ -397,7 +287,7 @@ func (s *gateSession) doOpen() {
 	})
 	if err != nil {
 		s.h.degraded++
-		s.complete(nil, s.h.cfg.WebLink.transfer(0))
+		s.complete(nil, webLink.transfer(0))
 		return
 	}
 	s.h.opens++
@@ -415,12 +305,10 @@ func (h *gateHarness) result() GateResult {
 		Offered:     h.offered,
 		Sheds:       h.sheds,
 		Degraded:    h.degraded,
+		ShedRate:    h.shedRate(),
 		VirtualTime: h.clock.Now(),
 		PoolSize:    h.cfg.PoolSize,
 		Hub:         st,
-	}
-	if h.offered > 0 {
-		r.ShedRate = float64(h.sheds) / float64(h.offered)
 	}
 	if r.VirtualTime > 0 {
 		r.StepsPerSec = float64(h.steps) / r.VirtualTime.Seconds()
@@ -428,22 +316,7 @@ func (h *gateHarness) result() GateResult {
 	if st.PNGHits+st.PNGMisses > 0 {
 		r.PNGHitRate = float64(st.PNGHits) / float64(st.PNGHits+st.PNGMisses)
 	}
-	if len(h.latencies) > 0 {
-		sorted := make([]time.Duration, len(h.latencies))
-		copy(sorted, h.latencies)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		pick := func(p float64) time.Duration {
-			i := int(p*float64(len(sorted))+0.5) - 1
-			if i < 0 {
-				i = 0
-			}
-			if i >= len(sorted) {
-				i = len(sorted) - 1
-			}
-			return sorted[i]
-		}
-		r.P50, r.P95, r.P99 = pick(0.50), pick(0.95), pick(0.99)
-		r.MaxLat = sorted[len(sorted)-1]
-	}
+	lat := h.latencySummary()
+	r.P50, r.P95, r.P99, r.MaxLat = lat.p50, lat.p95, lat.p99, lat.max
 	return r
 }

@@ -15,8 +15,7 @@ package loadgen
 import (
 	"bytes"
 	"fmt"
-	"runtime"
-	"sort"
+	"testing"
 	"time"
 
 	"minos/internal/demo"
@@ -148,8 +147,9 @@ func RunIndex(cfg IndexConfig) (IndexResult, error) {
 	}
 	res.ResultsMatch = match
 	res.MeanHits = float64(hits) / float64(cfg.Queries)
-	res.PlannedP50, res.PlannedP99 = durPercentiles(planned)
-	res.NaiveP50, res.NaiveP99 = durPercentiles(naive)
+	planned, naive = sortedDurations(planned), sortedDurations(naive)
+	res.PlannedP50, res.PlannedP99 = percentile(planned, 0.50), percentile(planned, 0.99)
+	res.NaiveP50, res.NaiveP99 = percentile(naive, 0.50), percentile(naive, 0.99)
 	if res.PlannedP99 > 0 {
 		res.P99Speedup = float64(res.NaiveP99) / float64(res.PlannedP99)
 	}
@@ -208,36 +208,15 @@ func makespanSpeedup(chunkNs []int64, workers int) float64 {
 	return float64(total) / float64(makespan)
 }
 
-// durPercentiles returns the p50 and p99 of a sample set.
-func durPercentiles(samples []time.Duration) (p50, p99 time.Duration) {
-	if len(samples) == 0 {
-		return 0, 0
-	}
-	s := append([]time.Duration(nil), samples...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	at := func(p float64) time.Duration {
-		i := int(p * float64(len(s)-1))
-		return s[i]
-	}
-	return at(0.50), at(0.99)
-}
-
-// indexAllocsPerQuery measures the marginal heap allocations of one warm
-// planned query (reused result buffer, warm searcher pool) the same way the
-// stream alloc guard does: a malloc delta over many rounds.
+// indexAllocsPerQuery measures the heap allocations of one warm planned
+// query (reused result buffer, warm searcher pool) the same way the stream
+// alloc guard does: a testing.AllocsPerRun average.
 func indexAllocsPerQuery(store *index.Store, cfg IndexConfig) (float64, error) {
 	q := demo.SynthQuery(cfg.Seed, 0, cfg.Docs)
-	out := store.Search(q, nil) // warm the searcher pool and size the buffer
-	const rounds = 200
-	var m0, m1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&m0)
-	for i := 0; i < rounds; i++ {
-		out = store.Search(q, out[:0])
-	}
-	runtime.ReadMemStats(&m1)
+	out := store.Search(q, nil) // size the result buffer
+	allocs := testing.AllocsPerRun(200, func() { out = store.Search(q, out[:0]) })
 	if len(out) == 0 && cfg.Docs > 0 {
 		return 0, fmt.Errorf("loadgen: alloc-guard query matched nothing")
 	}
-	return float64(m1.Mallocs-m0.Mallocs) / float64(rounds), nil
+	return allocs, nil
 }

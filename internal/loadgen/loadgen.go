@@ -16,46 +16,48 @@
 package loadgen
 
 import (
+	"slices"
 	"sort"
 	"time"
 
 	"minos/internal/cluster"
 	"minos/internal/object"
-	"minos/internal/sched"
 	"minos/internal/server"
-	"minos/internal/vclock"
 )
 
-// LinkModel is the simulated workstation↔server link and per-request CPU
-// cost. The defaults match the wire layer's EthernetLink (10 Mbit/s, 2 ms
-// propagation).
-type LinkModel struct {
-	Latency   time.Duration
-	Bandwidth int64 // bytes per second (0 = infinite)
-	// StepCPU is the modelled server CPU cost of serving one cache-hit
-	// item (query evaluation, miniature encode, piece memcpy).
-	StepCPU time.Duration
+// linkModel is one simulated network hop.
+type linkModel struct {
+	latency   time.Duration
+	bandwidth int64 // bytes per second
 }
 
-// DefaultLink returns the paper-era Ethernet link model.
-func DefaultLink() LinkModel {
-	return LinkModel{Latency: 2 * time.Millisecond, Bandwidth: 10_000_000 / 8, StepCPU: 50 * time.Microsecond}
-}
+// ethernetLink is the workstation↔server hop: the wire layer's
+// EthernetLink (10 Mbit/s, 2 ms propagation). webLink is the
+// gateway↔browser hop: a T1-class 1.5 Mbit/s pipe with wide-area 5 ms
+// propagation — deliberately slower than the backend, as the web hop was.
+var (
+	ethernetLink = linkModel{latency: 2 * time.Millisecond, bandwidth: 10_000_000 / 8}
+	webLink      = linkModel{latency: 5 * time.Millisecond, bandwidth: 1_500_000 / 8}
+)
 
-func (l LinkModel) byteCost(n int) time.Duration {
-	if l.Bandwidth <= 0 {
-		return 0
-	}
-	return time.Duration(int64(n) * int64(time.Second) / l.Bandwidth)
+// stepCPU is the modelled server CPU cost of serving one cache-hit item
+// (query evaluation, miniature encode, piece memcpy — roughly what the wire
+// handler measures for a 64 KiB piece).
+const stepCPU = 50 * time.Microsecond
+
+func (l linkModel) byteCost(n int) time.Duration {
+	return time.Duration(int64(n) * int64(time.Second) / l.bandwidth)
 }
 
 // transfer is the link cost of one request/response exchange moving n
 // payload bytes.
-func (l LinkModel) transfer(n int) time.Duration {
-	return 2*l.Latency + l.byteCost(n)
+func (l linkModel) transfer(n int) time.Duration {
+	return 2*l.latency + l.byteCost(n)
 }
 
-// Config parameterizes one harness run.
+// Config parameterizes one harness run. Sessions are assigned the three
+// stock scenarios round-robin, and every shard's device station has one
+// head (the paper's single optical head).
 type Config struct {
 	// Sessions is the number of concurrent simulated sessions.
 	Sessions int
@@ -68,20 +70,12 @@ type Config struct {
 	Duration time.Duration
 	// Seed drives every random choice in the run.
 	Seed uint64
-	// Scenarios are assigned to sessions round-robin; nil means
-	// DefaultScenarios (office, medical, city guide).
-	Scenarios []Scenario
-	// Heads is the device-station concurrency (default 1: the paper's
-	// single optical head).
-	Heads int
 	// MaxInFlight is the server admission bound (0 = unbounded).
 	MaxInFlight int
 	// HotSessions marks the first n sessions as hot: zero think time, a
 	// session pounding the server as fast as responses return. Used to
 	// show a hot session cannot starve the fleet.
 	HotSessions int
-	// Link overrides the link model (zero value = DefaultLink).
-	Link LinkModel
 	// FailShardAt, when positive, injects a primary failure at that
 	// virtual time: shard FailShard's primary stops serving, and routed
 	// work moves to its WORM read replica (or degrades if the shard has
@@ -89,14 +83,6 @@ type Config struct {
 	FailShardAt time.Duration
 	// FailShard selects the shard whose primary fails (see FailShardAt).
 	FailShard int
-}
-
-// WaitBounds are the device-wait histogram bucket upper bounds. Bucket 0
-// counts dispatches that never waited; bucket i counts waits at most
-// WaitBounds[i-1]; the final bucket counts everything beyond.
-var WaitBounds = []time.Duration{
-	time.Millisecond, 4 * time.Millisecond, 16 * time.Millisecond,
-	64 * time.Millisecond, 256 * time.Millisecond, time.Second, 4 * time.Second,
 }
 
 // Result is the measured outcome of one run. Identical (corpus, Config)
@@ -116,7 +102,8 @@ type Result struct {
 	// maximum.
 	FairnessRatio      float64
 	MinSteps, MaxSteps int64
-	// DevWaits is the device-wait histogram (see WaitBounds).
+	// DevWaits is the device-wait histogram (see WaitBounds), summed over
+	// every station of the fleet.
 	DevWaits    []int64
 	VirtualTime time.Duration
 	// Shards is the fleet width the run was driven against.
@@ -143,24 +130,17 @@ func Run(srv *server.Server, cfg Config) (Result, error) {
 	return RunFleet(SingleFleet(srv), cfg)
 }
 
-// harness is the shared run state. Everything below runs on the single
-// goroutine inside Clock.Run; no locking is needed or wanted — event order
-// is the only ordering.
+// harness is the run state of the E-LOAD/E-SHARD experiment: a kernel
+// population of sessions over a fleet of nodes.
 type harness struct {
-	clock         *vclock.Clock
+	population
 	nodes         []*node
 	ring          *cluster.Ring
 	cat           catalog
 	cfg           Config
 	sessions      []*session
-	latencies     []time.Duration
-	steps         int64
-	offered       int64
-	sheds         int64
-	degraded      int64
 	deviceSteps   int64
 	failoverSteps int64
-	waits         []int64
 }
 
 // node is one shard of the simulated fleet: a primary server with its
@@ -221,20 +201,6 @@ func (h *harness) queryAll(term string) []object.ID {
 	return all
 }
 
-func (h *harness) recordWait(w time.Duration) {
-	if w <= 0 {
-		h.waits[0]++
-		return
-	}
-	for i, b := range WaitBounds {
-		if w <= b {
-			h.waits[i+1]++
-			return
-		}
-	}
-	h.waits[len(h.waits)-1]++
-}
-
 func (h *harness) result() Result {
 	r := Result{
 		Sessions:      h.cfg.Sessions,
@@ -242,31 +208,24 @@ func (h *harness) result() Result {
 		Offered:       h.offered,
 		Sheds:         h.sheds,
 		Degraded:      h.degraded,
-		DevWaits:      h.waits,
+		ShedRate:      h.shedRate(),
+		DevWaits:      make([]int64, len(WaitBounds)+2),
 		VirtualTime:   h.clock.Now(),
 		Shards:        len(h.nodes),
 		DeviceSteps:   h.deviceSteps,
 		FailoverSteps: h.failoverSteps,
 	}
-	if h.offered > 0 {
-		r.ShedRate = float64(h.sheds) / float64(h.offered)
-	}
-	if len(h.latencies) > 0 {
-		sorted := make([]time.Duration, len(h.latencies))
-		copy(sorted, h.latencies)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		pick := func(p float64) time.Duration {
-			i := int(p*float64(len(sorted))+0.5) - 1
-			if i < 0 {
-				i = 0
+	lat := h.latencySummary()
+	r.P50, r.P95, r.P99, r.MaxLat = lat.p50, lat.p95, lat.p99, lat.max
+	for _, n := range h.nodes {
+		for _, st := range []*station{n.pst, n.rst} {
+			if st == nil {
+				continue
 			}
-			if i >= len(sorted) {
-				i = len(sorted) - 1
+			for i, c := range st.waits {
+				r.DevWaits[i] += c
 			}
-			return sorted[i]
 		}
-		r.P50, r.P95, r.P99 = pick(0.50), pick(0.95), pick(0.99)
-		r.MaxLat = sorted[len(sorted)-1]
 	}
 	// Fairness: compare sessions only within their class (same scenario,
 	// same hotness) — classes legitimately differ in pacing. Report the
@@ -284,20 +243,9 @@ func (h *harness) result() Result {
 		if len(steps) < 2 {
 			continue
 		}
-		mn, mx := steps[0], steps[0]
-		for _, v := range steps[1:] {
-			if v < mn {
-				mn = v
-			}
-			if v > mx {
-				mx = v
-			}
-		}
-		denom := mn
-		if denom == 0 {
-			denom = 1 // a starved session: the ratio degrades to the max
-		}
-		if ratio := float64(mx) / float64(denom); ratio > r.FairnessRatio {
+		mn, mx := slices.Min(steps), slices.Max(steps)
+		// A starved session (mn == 0): the ratio degrades to the max.
+		if ratio := float64(mx) / float64(max(mn, 1)); ratio > r.FairnessRatio {
 			r.FairnessRatio = ratio
 			r.MinSteps, r.MaxSteps = mn, mx
 		}
@@ -305,66 +253,18 @@ func (h *harness) result() Result {
 	return r
 }
 
-// station is the event-driven device model: the seek queue as the paper
-// describes it, sharing the real semaphore's fair-queueing policy
-// (sched.FairQueue, round-robin across tenants). Service times are the
-// real server's measured device times, so the station adds only what the
-// single-threaded harness cannot observe directly — the waiting.
-type station struct {
-	h     *harness
-	heads int
-	inuse int
-	q     sched.FairQueue[*devJob]
-}
-
-type devJob struct {
-	svc  time.Duration
-	enq  time.Duration
-	done func()
-}
-
-func (st *station) submit(tenant uint64, svc time.Duration, done func()) {
-	st.q.Push(tenant, &devJob{svc: svc, enq: st.h.clock.Now(), done: done})
-	st.dispatch()
-}
-
-func (st *station) dispatch() {
-	for st.inuse < st.heads && st.q.Len() > 0 {
-		_, j, _ := st.q.Pop()
-		st.inuse++
-		st.h.recordWait(st.h.clock.Now() - j.enq)
-		st.h.clock.AfterFunc(j.svc, func() {
-			st.inuse--
-			j.done()
-			st.dispatch()
-		})
-	}
-}
-
-// Step kinds.
-const (
-	kindQuery = iota
-	kindBrowse
-	kindPiece
-	kindAudio
-)
-
-// session is one simulated browsing user.
+// session is one simulated browsing user: a kernel actor whose steps are
+// the scenario mix run against the real servers of the fleet.
 type session struct {
+	actor
 	h      *harness
-	id     int
 	tenant uint64
 	scIdx  int
 	sc     Scenario
 	hot    bool
-	rng    uint64
 
-	steps     int64
 	results   []object.ID
 	cursor    int
-	stepStart time.Duration
-	attempts  int    // admission attempts within the current step
-	current   func() // in-progress step, retried after a shed backoff
 	failKnown uint64 // bitmask of shards whose primary failure this session has discovered
 }
 
@@ -383,49 +283,11 @@ func (s *session) route(id object.ID) (*node, time.Duration) {
 		return n, 0
 	}
 	s.failKnown |= bit
-	return n, s.h.cfg.Link.transfer(0)
-}
-
-// The session's shed-retry budget mirrors the wire client's default
-// RetryPolicy (4 attempts, 2ms base backoff, 250ms cap): past it, a real
-// workstation abandons the fetch and degrades to what it has cached, so
-// the harness does the same and counts the step as degraded.
-const (
-	shedMaxAttempts = 4
-	shedBaseDelay   = 2 * time.Millisecond
-	shedMaxDelay    = 250 * time.Millisecond
-)
-
-// rand is the session's private xorshift64 generator; mod 0 returns the
-// raw value.
-func (s *session) rand(mod uint64) uint64 {
-	s.rng ^= s.rng << 13
-	s.rng ^= s.rng >> 7
-	s.rng ^= s.rng << 17
-	if mod == 0 {
-		return s.rng
-	}
-	return s.rng % mod
-}
-
-func (s *session) done() bool {
-	if s.h.cfg.StepsEach > 0 && s.steps >= int64(s.h.cfg.StepsEach) {
-		return true
-	}
-	if s.h.cfg.Duration > 0 && s.h.clock.Now() >= s.h.cfg.Duration {
-		return true
-	}
-	return false
+	return n, ethernetLink.transfer(0)
 }
 
 func (s *session) beginStep() {
-	if s.done() {
-		return
-	}
-	s.stepStart = s.h.clock.Now()
-	s.attempts = 0
-	kind := s.pickKind()
-	switch kind {
+	switch s.sc.pick(s.rng, len(s.results) > 0, len(s.h.cat.audio) > 0) {
 	case kindQuery:
 		s.current = s.doQuery
 	case kindBrowse:
@@ -438,62 +300,16 @@ func (s *session) beginStep() {
 	s.current()
 }
 
-func (s *session) pickKind() int {
-	// Until the first query lands, a session has nothing to browse.
-	if len(s.results) == 0 {
-		return kindQuery
-	}
-	q, b, p, a := s.sc.QueryW, s.sc.BrowseW, s.sc.PieceW, s.sc.AudioW
-	if len(s.h.cat.audio) == 0 {
-		b += a // no audio targets: fold audio fetches into browsing
-		a = 0
-	}
-	r := int(s.rand(uint64(q + b + p + a)))
-	switch {
-	case r < q:
-		return kindQuery
-	case r < q+b:
-		return kindBrowse
-	case r < q+b+p:
-		return kindPiece
-	default:
-		return kindAudio
-	}
-}
-
-// complete finishes the current step after extra virtual time (link
-// transfer, CPU) elapses, then schedules the next one after think time.
-func (s *session) complete(extra time.Duration) {
-	s.h.clock.AfterFunc(extra, func() {
-		s.h.latencies = append(s.h.latencies, s.h.clock.Now()-s.stepStart)
-		s.steps++
-		s.h.steps++
-		s.h.clock.AfterFunc(s.thinkTime(), s.beginStep)
-	})
-}
-
-func (s *session) thinkTime() time.Duration {
-	if s.hot {
-		return 0
-	}
-	t := s.sc.Think
-	if s.sc.ThinkJitter > 0 {
-		t += time.Duration(s.rand(uint64(s.sc.ThinkJitter)))
-	}
-	return t
-}
-
 // doQuery runs a content query against the real index and pages the
 // session's browse cursor onto the result set.
 func (s *session) doQuery() {
-	term := s.h.cat.terms[s.rand(uint64(len(s.h.cat.terms)))]
+	term := s.h.cat.terms[s.rng.below(uint64(len(s.h.cat.terms)))]
 	ids := s.h.queryAll(term)
 	if len(ids) > 0 {
 		s.results = ids
-		s.cursor = int(s.rand(uint64(len(ids))))
+		s.cursor = int(s.rng.below(uint64(len(ids))))
 	}
-	cost := s.h.cfg.Link.transfer(9+len(term)+8*len(ids)) + s.h.cfg.Link.StepCPU
-	s.complete(cost)
+	s.finishAfter(ethernetLink.transfer(9+len(term)+8*len(ids))+stepCPU, nil)
 }
 
 // doBrowse fetches a batch of miniatures from the encoded-frame cache —
@@ -517,64 +333,51 @@ func (s *session) doBrowse() {
 		}
 	}
 	s.cursor = (s.cursor + n) % len(s.results)
-	cost := s.h.cfg.Link.transfer(bytes) + time.Duration(n)*s.h.cfg.Link.StepCPU + extra
-	s.complete(cost)
+	s.finishAfter(ethernetLink.transfer(bytes)+time.Duration(n)*stepCPU+extra, nil)
 }
 
-// admitDevice passes the shard server's real admission gate. On shed it
-// backs off exponentially with jitter and retries the in-progress step;
-// past the retry budget it completes the step degraded (link cost only, no
-// device work) — the workstation falls back to what it has cached.
-func (s *session) admitDevice(nd *node, admitted func(release func())) {
-	s.h.offered++
-	s.attempts++
-	release, err := nd.srv().AdmitAs(s.tenant)
-	if err != nil {
-		s.h.sheds++
-		if s.attempts >= shedMaxAttempts {
-			s.h.degraded++
-			s.complete(s.h.cfg.Link.transfer(0))
+// routeDevice resolves the shard a device-bound step reads from. A dark
+// shard degrades the step on the spot (ok is false): the workstation falls
+// back to what it has cached.
+func (s *session) routeDevice(id object.ID) (nd *node, pen time.Duration, ok bool) {
+	nd, pen = s.route(id)
+	if nd.down() {
+		s.h.degraded++
+		s.finishAfter(ethernetLink.transfer(0)+pen, nil)
+		return nd, pen, false
+	}
+	return nd, pen, true
+}
+
+// deviceRead is the device-bound tail of a step: pass the shard server's
+// real admission gate, run read against it (payload bytes moved, device
+// time charged), then queue the device time at the shard's station under
+// this session's tenant — pure cache hits skip the device entirely,
+// exactly like the real read path. The admission slot is held through
+// device service + transfer; completion latency covers the same span.
+func (s *session) deviceRead(nd *node, pen time.Duration, read func() (n int, dev time.Duration, err error)) {
+	try := func() (func(), bool) {
+		release, err := nd.srv().AdmitAs(s.tenant)
+		return release, err == nil
+	}
+	s.admit(try, ethernetLink.transfer(0), func(release func()) {
+		n, devTime, err := read()
+		transfer := ethernetLink.transfer(n) + stepCPU + pen
+		if err != nil {
+			transfer = ethernetLink.transfer(0) + pen
+		}
+		s.h.deviceSteps++
+		if nd.failed && nd.replica != nil {
+			s.h.failoverSteps++
+		}
+		if devTime > 0 {
+			nd.st().submit(s.tenant, 0, func() time.Duration { return devTime }, func() {
+				s.finishAfter(transfer, release)
+			})
 			return
 		}
-		backoff := shedBaseDelay << (s.attempts - 1)
-		if backoff > shedMaxDelay {
-			backoff = shedMaxDelay
-		}
-		// ±50% jitter, like the wire client, so a shed burst does not
-		// stampede back in lockstep.
-		delay := backoff/2 + time.Duration(s.rand(uint64(backoff)))
-		s.h.clock.AfterFunc(delay, func() {
-			// Past the deadline the step is abandoned, not completed:
-			// an open run must drain.
-			if s.h.cfg.Duration > 0 && s.h.clock.Now() >= s.h.cfg.Duration {
-				return
-			}
-			s.current()
-		})
-		return
-	}
-	admitted(release)
-}
-
-// finishDevice routes the device-bound tail of a step: real device time
-// queues at the owning shard's station under this session's tenant; pure
-// cache hits skip the device entirely, exactly like the real read path.
-func (s *session) finishDevice(nd *node, release func(), devTime, transfer time.Duration) {
-	s.h.deviceSteps++
-	if nd.failed && nd.replica != nil {
-		s.h.failoverSteps++
-	}
-	if devTime > 0 {
-		// The admission slot is held through device service + transfer;
-		// completion latency covers the same span.
-		nd.st().submit(s.tenant, devTime, func() {
-			s.h.clock.AfterFunc(transfer, release)
-			s.complete(transfer)
-		})
-		return
-	}
-	s.h.clock.AfterFunc(transfer, release)
-	s.complete(transfer)
+		s.finishAfter(transfer, release)
+	})
 }
 
 // doPiece reads a random extent of a visual object through the owning
@@ -582,25 +385,19 @@ func (s *session) finishDevice(nd *node, release func(), devTime, transfer time.
 // archiver-absolute per shard, so the routing key is the object id the
 // extent was scanned from.
 func (s *session) doPiece() {
-	t := s.h.cat.visual[s.rand(uint64(len(s.h.cat.visual)))]
-	nd, pen := s.route(t.id)
-	if nd.down() {
-		s.h.degraded++
-		s.complete(s.h.cfg.Link.transfer(0) + pen)
+	t := s.h.cat.visual[s.rng.below(uint64(len(s.h.cat.visual)))]
+	nd, pen, ok := s.routeDevice(t.id)
+	if !ok {
 		return
 	}
 	length := s.sc.PieceLen
 	if length > t.ext.length {
 		length = t.ext.length
 	}
-	off := t.ext.start + s.rand(t.ext.length-length+1)
-	s.admitDevice(nd, func(release func()) {
+	off := t.ext.start + s.rng.below(t.ext.length-length+1)
+	s.deviceRead(nd, pen, func() (int, time.Duration, error) {
 		data, devT, err := nd.srv().ReadPieceAs(s.tenant, off, length)
-		transfer := s.h.cfg.Link.transfer(len(data)) + s.h.cfg.Link.StepCPU + pen
-		if err != nil {
-			transfer = s.h.cfg.Link.transfer(0) + pen
-		}
-		s.finishDevice(nd, release, devT, transfer)
+		return len(data), devT, err
 	})
 }
 
@@ -608,23 +405,17 @@ func (s *session) doPiece() {
 // time) and its voice preview bytes — the "voice segments ... played as
 // the miniature passes through the screen" (§5) — from its owning shard.
 func (s *session) doAudio() {
-	id := s.h.cat.audio[s.rand(uint64(len(s.h.cat.audio)))]
-	nd, pen := s.route(id)
-	if nd.down() {
-		s.h.degraded++
-		s.complete(s.h.cfg.Link.transfer(0) + pen)
+	id := s.h.cat.audio[s.rng.below(uint64(len(s.h.cat.audio)))]
+	nd, pen, ok := s.routeDevice(id)
+	if !ok {
 		return
 	}
-	s.admitDevice(nd, func(release func()) {
+	s.deviceRead(nd, pen, func() (int, time.Duration, error) {
 		_, devT, err := nd.srv().DescriptorAs(s.tenant, id)
 		bytes := 0
 		if vp := nd.srv().VoicePreview(id); vp != nil {
 			bytes = 2 * len(vp.Samples) // 16-bit mono PCM
 		}
-		transfer := s.h.cfg.Link.transfer(bytes) + s.h.cfg.Link.StepCPU + pen
-		if err != nil {
-			transfer = s.h.cfg.Link.transfer(0) + pen
-		}
-		s.finishDevice(nd, release, devT, transfer)
+		return bytes, devT, err
 	})
 }

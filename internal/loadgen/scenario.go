@@ -1,10 +1,8 @@
 package loadgen
 
 import (
-	"fmt"
 	"time"
 
-	"minos/internal/demo"
 	"minos/internal/object"
 	"minos/internal/server"
 )
@@ -67,8 +65,8 @@ func CityGuide() Scenario {
 	}
 }
 
-// DefaultScenarios returns the three stock scenarios; Run assigns them to
-// sessions round-robin.
+// DefaultScenarios returns the three stock scenarios; RunFleet assigns them
+// to sessions round-robin.
 func DefaultScenarios() []Scenario {
 	return []Scenario{Office(), Medical(), CityGuide()}
 }
@@ -81,25 +79,48 @@ var queryTerms = []string{
 	"hospital", "university", "subway", "tour", "transparency", "report",
 }
 
-// BuildCorpus publishes the standard load-test corpus: the demo figure
+// Step kinds.
+const (
+	kindQuery = iota
+	kindBrowse
+	kindPiece
+	kindAudio
+)
+
+// pick draws the next step kind from the scenario's weights. Until a query
+// has landed a session has nothing to browse, so it queries (no draw).
+// Without audio targets, audio fetches fold into browsing.
+func (sc Scenario) pick(r *rng, haveResults, haveAudio bool) int {
+	if !haveResults {
+		return kindQuery
+	}
+	q, b, p, a := sc.QueryW, sc.BrowseW, sc.PieceW, sc.AudioW
+	if !haveAudio {
+		b += a
+		a = 0
+	}
+	n := int(r.below(uint64(q + b + p + a)))
+	switch {
+	case n < q:
+		return kindQuery
+	case n < q+b:
+		return kindBrowse
+	case n < q+b+p:
+		return kindPiece
+	default:
+		return kindAudio
+	}
+}
+
+// BuildCorpus publishes the standard load-test corpus — the demo figure
 // objects, fillers filler documents, and spoken audio-mode objects so the
-// audio-fetch step has targets.
+// audio-fetch step has targets — onto one server: the 1-shard BuildFleet.
 func BuildCorpus(blocks, fillers, spoken int) (*server.Server, error) {
-	c, err := demo.Build(blocks, fillers)
+	f, err := BuildFleet(blocks, fillers, spoken, 1, 1, false)
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < spoken; i++ {
-		topic := queryTerms[i%len(queryTerms)]
-		o, err := demo.SpokenObject(object.ID(500_000+i), topic, 60, i, 8000)
-		if err != nil {
-			return nil, fmt.Errorf("loadgen: spoken object %d: %w", i, err)
-		}
-		if _, err := c.Server.Publish(o); err != nil {
-			return nil, fmt.Errorf("loadgen: publish spoken %d: %w", i, err)
-		}
-	}
-	return c.Server, nil
+	return f.Shards[0].Primary, nil
 }
 
 // catalog is the harness's view of the published corpus: the object sets

@@ -2,11 +2,12 @@ package loadgen
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"io"
-	"runtime"
 	"sync/atomic"
 	"syscall"
+	"testing"
 	"time"
 
 	"minos/internal/archiver"
@@ -44,8 +45,8 @@ import (
 //     the replica at the delivered offset and the received bytes must equal
 //     the archive bit for bit.
 //  4. Alloc guard: the marginal heap cost of one streamed voice chunk on a
-//     warm cache, measured as the malloc delta between a long and a short
-//     stream over the same part.
+//     warm cache, measured as the allocation delta between a long and a
+//     short stream over the same part.
 //
 // Frame arithmetic mirrors the mux layout: 8 bytes of frame+correlation
 // header, 13 bytes of response/stream header, 8 bytes of chunk offset.
@@ -58,14 +59,17 @@ const (
 	endFrameBytes  = muxHdrBytes + respHdrBytes + 1
 )
 
+// Every E-STREAM archive is a 1<<14-block optical device, and the spoken
+// part is 8 kHz PCM; both legs ride ethernetLink.
+const (
+	streamBlocks = 1 << 14
+	streamRate   = 8000
+)
+
 // StreamConfig parameterizes one E-STREAM run.
 type StreamConfig struct {
-	// Blocks is each archive's optical capacity (default 1<<14).
-	Blocks int
 	// VoiceSeconds is the minimum spoken-part duration (default 10).
 	VoiceSeconds int
-	// Rate is the PCM sample rate (default 8000).
-	Rate int
 	// ScreenCells is the number of miniatures on the progressive browse
 	// screen (default 96 — a paging browse screen; per-stream framing and
 	// the link round-trip amortize across cells, which is where the
@@ -73,9 +77,6 @@ type StreamConfig struct {
 	ScreenCells int
 	// Seed drives the deterministic corpus.
 	Seed int
-	// Link is the simulated link (zero value = DefaultLink, the 10 Mbit/s
-	// Ethernet).
-	Link LinkModel
 	// AllocRounds is the sample count for the alloc guard (default 10).
 	AllocRounds int
 }
@@ -113,37 +114,27 @@ type StreamResult struct {
 }
 
 func (c *StreamConfig) defaults() {
-	if c.Blocks == 0 {
-		c.Blocks = 1 << 14
-	}
 	if c.VoiceSeconds == 0 {
 		c.VoiceSeconds = 10
 	}
-	if c.Rate == 0 {
-		c.Rate = 8000
-	}
 	if c.ScreenCells == 0 {
 		c.ScreenCells = 96
-	}
-	if c.Link == (LinkModel{}) {
-		c.Link = DefaultLink()
 	}
 	if c.AllocRounds == 0 {
 		c.AllocRounds = 10
 	}
 }
 
-// spokenPart synthesizes a deterministic spoken part of at least minSeconds
-// at the given rate, doubling the source word count until it is long
-// enough.
-func spokenPart(minSeconds, rate, seed int) (*voice.Part, error) {
+// spokenPart synthesizes a deterministic spoken part of at least minSeconds,
+// doubling the source word count until it is long enough.
+func spokenPart(minSeconds, seed int) (*voice.Part, error) {
 	for words := 400; ; words *= 2 {
 		seg, err := text.Parse(demo.FillerMarkup("voice", words, seed))
 		if err != nil {
 			return nil, err
 		}
-		syn := voice.Synthesize(text.Flatten(seg), voice.DefaultSpeaker(), rate)
-		if len(syn.Part.Samples) >= minSeconds*rate {
+		syn := voice.Synthesize(text.Flatten(seg), voice.DefaultSpeaker(), streamRate)
+		if len(syn.Part.Samples) >= minSeconds*streamRate {
 			return syn.Part, nil
 		}
 		if words > 1<<20 {
@@ -152,24 +143,28 @@ func spokenPart(minSeconds, rate, seed int) (*voice.Part, error) {
 	}
 }
 
-// streamCorpus builds the experiment archive: the spoken object plus
-// ScreenCells image objects whose miniatures fill the browse screen.
-func streamCorpus(cfg StreamConfig, name string) (*server.Server, object.ID, []object.ID, error) {
-	srv, err := demo.NewServer(name, cfg.Blocks)
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	part, err := spokenPart(cfg.VoiceSeconds, cfg.Rate, cfg.Seed)
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	const voiceID = object.ID(4242)
+// voiceID names the spoken object in every E-STREAM archive.
+const voiceID = object.ID(4242)
+
+// publishSpoken archives the spoken part on srv as object voiceID.
+func publishSpoken(srv *server.Server, part *voice.Part) error {
 	o, err := object.NewBuilder(voiceID, "spoken notes", object.Audio).VoicePart(part).Build()
 	if err != nil {
-		return nil, 0, nil, err
+		return err
 	}
-	if _, err := srv.Publish(o); err != nil {
-		return nil, 0, nil, err
+	_, err = srv.Publish(o)
+	return err
+}
+
+// streamCorpus builds the experiment archive: the spoken object plus
+// ScreenCells image objects whose miniatures fill the browse screen.
+func streamCorpus(cfg StreamConfig, part *voice.Part) (*server.Server, []object.ID, error) {
+	srv, err := demo.NewServer("stream0", streamBlocks)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := publishSpoken(srv, part); err != nil {
+		return nil, nil, err
 	}
 	var minis []object.ID
 	for i := 0; i < cfg.ScreenCells; i++ {
@@ -188,14 +183,14 @@ func streamCorpus(cfg StreamConfig, name string) (*server.Server, object.ID, []o
 			Text(fmt.Sprintf(".title Figure %d\na browse screen cell image.\n", i)).
 			Image(im).Build()
 		if err != nil {
-			return nil, 0, nil, err
+			return nil, nil, err
 		}
 		if _, err := srv.Publish(mo); err != nil {
-			return nil, 0, nil, err
+			return nil, nil, err
 		}
 		minis = append(minis, id)
 	}
-	return srv, voiceID, minis, nil
+	return srv, minis, nil
 }
 
 // RunStream runs the E-STREAM experiment and reports the measurements.
@@ -203,15 +198,19 @@ func RunStream(cfg StreamConfig) (StreamResult, error) {
 	cfg.defaults()
 	var r StreamResult
 
-	srv, voiceID, minis, err := streamCorpus(cfg, "stream0")
+	// One synthesis serves all four legs.
+	part, err := spokenPart(cfg.VoiceSeconds, cfg.Seed)
+	if err != nil {
+		return r, err
+	}
+	srv, minis, err := streamCorpus(cfg, part)
 	if err != nil {
 		return r, err
 	}
 
 	// --- Voice leg: play-while-fetching on the virtual clock. ---
 	clock := vclock.New()
-	lt := &wire.LocalTransport{H: &wire.Handler{Srv: srv}, Latency: cfg.Link.Latency, Bandwidth: cfg.Link.Bandwidth}
-	sess := workstation.New(wire.NewClient(lt), core.Config{Screen: screen.New(240, 140), Clock: clock})
+	sess := workstation.New(wire.NewClient(wire.EthernetLink(&wire.Handler{Srv: srv})), core.Config{Screen: screen.New(240, 140), Clock: clock})
 	pb, err := sess.PlayVoiceStreamCtx(context.Background(), voiceID,
 		func(at time.Duration) { clock.AdvanceTo(at) })
 	if err != nil {
@@ -229,7 +228,7 @@ func RunStream(cfg StreamConfig) (StreamResult, error) {
 	r.Underruns = pb.Underruns
 	// The batch path ships the whole part as one frame; playback cannot
 	// start before its last byte lands.
-	r.VoiceFullDownload = cfg.Link.transfer(openReqBytes + respHdrBytes + voiceMetaBytes + int(pb.TotalBytes))
+	r.VoiceFullDownload = ethernetLink.transfer(openReqBytes + respHdrBytes + voiceMetaBytes + int(pb.TotalBytes))
 	if r.TTFA > 0 {
 		r.TTFASpeedup = float64(r.VoiceFullDownload) / float64(r.TTFA)
 	}
@@ -240,7 +239,7 @@ func RunStream(cfg StreamConfig) (StreamResult, error) {
 	// progressive browser solicits first (open each stream with a
 	// coarse-pass window); the batch baseline is one Miniatures call
 	// returning every cell complete.
-	wc := wire.NewClient(&wire.LocalTransport{H: &wire.Handler{Srv: srv}, Latency: cfg.Link.Latency, Bandwidth: cfg.Link.Bandwidth})
+	wc := wire.NewClient(wire.EthernetLink(&wire.Handler{Srv: srv}))
 	r.ScreenCells = len(minis)
 	for _, id := range minis {
 		info, sc, err := wc.MiniatureStreamCtx(context.Background(), id, 0, 1<<20)
@@ -280,22 +279,22 @@ func RunStream(cfg StreamConfig) (StreamResult, error) {
 		r.BatchFrameBytes += int64(len(payload)) + 6
 	}
 	openCost := int64(len(minis) * (muxHdrBytes + openReqBytes))
-	r.ScreenUsable = 2*cfg.Link.Latency + cfg.Link.byteCost(int(openCost+r.CoarseFrameBytes))
+	r.ScreenUsable = ethernetLink.transfer(int(openCost + r.CoarseFrameBytes))
 	batchReq := muxHdrBytes + 3 + 8*len(minis)
-	r.ScreenFull = 2*cfg.Link.Latency + cfg.Link.byteCost(batchReq+respHdrBytes+int(r.BatchFrameBytes))
+	r.ScreenFull = ethernetLink.transfer(batchReq + respHdrBytes + int(r.BatchFrameBytes))
 	if r.ScreenFull > 0 {
 		r.UsableRatio = float64(r.ScreenUsable) / float64(r.ScreenFull)
 	}
 
 	// --- Failover leg: mid-stream primary kill, resume on the replica. ---
-	ok, delivered, resumes, err := runStreamFailover(cfg)
+	ok, delivered, resumes, err := runStreamFailover(part)
 	if err != nil {
 		return r, err
 	}
 	r.FailoverOK, r.FailoverDelivered, r.FailoverResumes = ok, delivered, resumes
 
 	// --- Alloc guard: marginal allocations per streamed chunk. ---
-	r.AllocsPerChunk, err = streamAllocsPerChunk(cfg)
+	r.AllocsPerChunk, err = streamAllocsPerChunk(part, cfg.AllocRounds)
 	if err != nil {
 		return r, err
 	}
@@ -349,26 +348,17 @@ func (s *killableStream) Close() error { return s.inner.Close() }
 // kills the primary a third of the way in. Reports whether the delivered
 // bytes equal the archive exactly, how many bytes arrived, and how many
 // mid-stream resumes the router performed.
-func runStreamFailover(cfg StreamConfig) (ok bool, delivered uint64, resumes int64, err error) {
-	part, err := spokenPart(cfg.VoiceSeconds, cfg.Rate, cfg.Seed)
-	if err != nil {
-		return false, 0, 0, err
-	}
-	const id = object.ID(4242)
+func runStreamFailover(part *voice.Part) (ok bool, delivered uint64, resumes int64, err error) {
 	endpoints := map[string]*struct {
 		h      *wire.Handler
 		failed atomic.Bool
 	}{}
 	for _, name := range []string{"stream-prime", "stream-prime-r"} {
-		srv, serr := demo.NewServer(name, cfg.Blocks)
+		srv, serr := demo.NewServer(name, streamBlocks)
 		if serr != nil {
 			return false, 0, 0, serr
 		}
-		o, berr := object.NewBuilder(id, "spoken notes", object.Audio).VoicePart(part).Build()
-		if berr != nil {
-			return false, 0, 0, berr
-		}
-		if _, perr := srv.Publish(o); perr != nil {
+		if perr := publishSpoken(srv, part); perr != nil {
 			return false, 0, 0, perr
 		}
 		endpoints[name] = &struct {
@@ -391,7 +381,7 @@ func runStreamFailover(cfg StreamConfig) (ok bool, delivered uint64, resumes int
 			return nil, fmt.Errorf("loadgen: unknown endpoint %q", endpoint)
 		}
 		return &killableTransport{
-			inner:  &wire.LocalTransport{H: ep.h, Latency: cfg.Link.Latency, Bandwidth: cfg.Link.Bandwidth},
+			inner:  wire.EthernetLink(ep.h),
 			failed: &ep.failed,
 		}, nil
 	}
@@ -403,7 +393,7 @@ func runStreamFailover(cfg StreamConfig) (ok bool, delivered uint64, resumes int
 	c.SetRetryPolicy(wire.RetryPolicy{MaxAttempts: 2, BaseDelay: 100 * time.Microsecond, MaxDelay: time.Millisecond})
 
 	prime := endpoints["stream-prime"].h.Srv
-	pcm, _, err := prime.VoicePCMInfoAs(0, id)
+	pcm, _, err := prime.VoicePCMInfoAs(0, voiceID)
 	if err != nil {
 		return false, 0, 0, err
 	}
@@ -411,7 +401,7 @@ func runStreamFailover(cfg StreamConfig) (ok bool, delivered uint64, resumes int
 	if err != nil {
 		return false, 0, 0, err
 	}
-	info, sc, err := c.VoiceStreamCtx(context.Background(), id, 0, 64<<10)
+	info, sc, err := c.VoiceStreamCtx(context.Background(), voiceID, 0, 64<<10)
 	if err != nil {
 		return false, 0, 0, err
 	}
@@ -454,89 +444,56 @@ func (nullSink) Header([]byte, time.Duration) error       { return nil }
 func (nullSink) Data(uint64, []byte, time.Duration) error { return nil }
 
 // streamAllocsPerChunk measures the marginal heap allocations of one
-// streamed voice chunk on a warm block cache: malloc delta between a
-// full-part stream and a one-chunk stream, divided by the chunk-count
+// streamed voice chunk on a warm block cache: allocations of a full-part
+// stream minus those of a one-chunk stream, divided by the chunk-count
 // delta. Per-stream overhead (admission, descriptor parse, header
-// metadata) cancels out.
-func streamAllocsPerChunk(cfg StreamConfig) (float64, error) {
-	dev, err := disk.NewOptical("stream-alloc", disk.OpticalGeometry(cfg.Blocks))
+// metadata) cancels out. Each side is a testing.AllocsPerRun average —
+// pinned to one P and truncated to whole allocations, so a stray runtime
+// allocation in the window cannot leak into the rate.
+func streamAllocsPerChunk(part *voice.Part, rounds int) (float64, error) {
+	dev, err := disk.NewOptical("stream-alloc", disk.OpticalGeometry(streamBlocks))
 	if err != nil {
 		return 0, err
 	}
 	// The cache must hold the whole PCM region: the guard is about the
 	// steady-state serve path, not cache-miss device reads.
-	srv := server.New(archiver.New(dev), server.WithCache(cfg.Blocks))
-	part, err := spokenPart(cfg.VoiceSeconds, cfg.Rate, cfg.Seed)
-	if err != nil {
-		return 0, err
-	}
-	const id = object.ID(4242)
-	o, err := object.NewBuilder(id, "spoken notes", object.Audio).VoicePart(part).Build()
-	if err != nil {
-		return 0, err
-	}
-	if _, err := srv.Publish(o); err != nil {
+	srv := server.New(archiver.New(dev), server.WithCache(streamBlocks))
+	if err := publishSpoken(srv, part); err != nil {
 		return 0, err
 	}
 	h := &wire.Handler{Srv: srv}
-	info, _, err := srv.VoicePCMInfoAs(0, id)
+	info, _, err := srv.VoicePCMInfoAs(0, voiceID)
 	if err != nil {
 		return 0, err
 	}
-	fullReq := encodeVoiceStreamOpen(id, 0)
-	lastChunk := (info.Bytes - 1) / wire.StreamChunkBytes * wire.StreamChunkBytes
-	shortReq := encodeVoiceStreamOpen(id, lastChunk)
-	fullChunks := float64((info.Bytes + wire.StreamChunkBytes - 1) / wire.StreamChunkBytes)
-	// Warm the cache and the buffer pools.
-	if err := h.ServeStreamAs(0, fullReq, nullSink{}); err != nil {
-		return 0, err
+	chunks := (info.Bytes + wire.StreamChunkBytes - 1) / wire.StreamChunkBytes
+	if chunks <= 1 {
+		return 0, fmt.Errorf("loadgen: voice part too short for the alloc guard")
 	}
-	mallocs := func(req []byte) (float64, error) {
-		var m0, m1 runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&m0)
-		var serr error
-		for i := 0; i < cfg.AllocRounds; i++ {
+	var serr error
+	allocs := func(from uint64) float64 {
+		req := encodeVoiceStreamOpen(voiceID, from)
+		// AllocsPerRun's own warm-up call fills the cache and buffer pools.
+		return testing.AllocsPerRun(rounds, func() {
 			if e := h.ServeStreamAs(0, req, nullSink{}); e != nil {
 				serr = e
 			}
-		}
-		runtime.ReadMemStats(&m1)
-		return float64(m1.Mallocs-m0.Mallocs) / float64(cfg.AllocRounds), serr
+		})
 	}
-	fullM, err := mallocs(fullReq)
-	if err != nil {
-		return 0, err
+	full := allocs(0)
+	short := allocs((chunks - 1) * wire.StreamChunkBytes)
+	if serr != nil {
+		return 0, serr
 	}
-	shortM, err := mallocs(shortReq)
-	if err != nil {
-		return 0, err
-	}
-	if fullChunks <= 1 {
-		return 0, fmt.Errorf("loadgen: voice part too short for the alloc guard")
-	}
-	per := (fullM - shortM) / (fullChunks - 1)
-	if per < 0 {
-		per = 0
-	}
-	return per, nil
+	return max(full-short, 0) / float64(chunks-1), nil
 }
 
 // encodeVoiceStreamOpen mirrors the wire open-request layout (the wire
 // package keeps its codec private; the 21-byte shape is part of the
 // protocol contract documented in DESIGN.md §10).
 func encodeVoiceStreamOpen(id object.ID, from uint64) []byte {
-	req := make([]byte, 0, openReqBytes)
-	req = append(req, wire.OpVoiceStream)
-	for s := 56; s >= 0; s -= 8 {
-		req = append(req, byte(uint64(id)>>uint(s)))
-	}
-	for s := 56; s >= 0; s -= 8 {
-		req = append(req, byte(from>>uint(s)))
-	}
-	w := uint32(1 << 20)
-	for s := 24; s >= 0; s -= 8 {
-		req = append(req, byte(w>>uint(s)))
-	}
-	return req
+	req := append(make([]byte, 0, openReqBytes), wire.OpVoiceStream)
+	req = binary.BigEndian.AppendUint64(req, uint64(id))
+	req = binary.BigEndian.AppendUint64(req, from)
+	return binary.BigEndian.AppendUint32(req, 1<<20) // window
 }

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	img "minos/internal/image"
 	"minos/internal/object"
@@ -325,38 +327,60 @@ func TestConcurrentPublish(t *testing.T) {
 	}
 }
 
-// TestRunConcurrentLoadWarmHitsStayFast runs the §5 N-reader experiment:
-// with a warmed hot set, wall-clock latency percentiles stay flat because
-// cache hits never touch the seek semaphore.
-func TestRunConcurrentLoadWarmHits(t *testing.T) {
+// TestConcurrentWarmHits is the §5 N-reader check: with a warmed hot set,
+// overlapping piece reads from many goroutines are pure cache hits — no
+// errors, no device time, and nothing ever queues on the seek semaphore.
+func TestConcurrentWarmHits(t *testing.T) {
 	s := newServer(t, 8192)
 	for i := 1; i <= 6; i++ {
 		if _, err := s.Publish(docObject(t, object.ID(i), "warm hot set object body with several words inside.\n")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st := s.RunConcurrentLoad(ConcurrentLoadConfig{
-		Readers:      8,
-		RequestsEach: raceIters(t, 200),
-		PieceLen:     1024,
-		HotExtents:   4,
-		Warm:         true,
-		Seed:         7,
-	})
-	if st.Requests == 0 || st.Errors != 0 {
-		t.Fatalf("stats = %+v", st)
+	// The hot set is the first four objects; warm every block of it.
+	type extent struct{ start, length uint64 }
+	var hot []extent
+	for _, id := range s.IDs()[:4] {
+		e, err := s.Archiver().ExtentOf(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hot = append(hot, extent{e.Start, e.Length})
+		s.ReadPiece(e.Start, e.Length)
 	}
-	if st.DeviceTime != 0 {
-		t.Fatalf("warmed hot-set run paid device time %v (cache should absorb it)", st.DeviceTime)
+
+	const readers, pieceLen = 8, 1024
+	iters := raceIters(t, 200)
+	var (
+		wg      sync.WaitGroup
+		errs    atomic.Int64
+		devTime atomic.Int64
+	)
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				e := hot[(r+i)%len(hot)]
+				length := min(uint64(pieceLen), e.length)
+				off := e.start + uint64(i*37)%(e.length-length+1)
+				_, dt, err := s.ReadPiece(off, length)
+				if err != nil {
+					errs.Add(1)
+					continue
+				}
+				devTime.Add(int64(dt))
+			}
+		}(r)
 	}
-	if st.P95 == 0 && st.Max == 0 {
-		t.Fatalf("no latencies recorded: %+v", st)
+	wg.Wait()
+	if n := errs.Load(); n != 0 {
+		t.Fatalf("%d reads failed", n)
 	}
-	srvStats := s.Stats()
-	if srvStats.DeviceWaits != 0 {
-		t.Fatalf("cache hits queued on the device semaphore %d times", srvStats.DeviceWaits)
+	if dt := time.Duration(devTime.Load()); dt != 0 {
+		t.Fatalf("warmed hot-set run paid device time %v (cache should absorb it)", dt)
 	}
-	if st.Throughput <= 0 {
-		t.Fatalf("throughput = %v", st.Throughput)
+	if st := s.Stats(); st.DeviceWaits != 0 {
+		t.Fatalf("cache hits queued on the device semaphore %d times", st.DeviceWaits)
 	}
 }

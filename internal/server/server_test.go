@@ -3,7 +3,6 @@ package server
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"minos/internal/archiver"
 	"minos/internal/disk"
@@ -200,68 +199,5 @@ func TestStatsAndReset(t *testing.T) {
 	st = s.Stats()
 	if st.PieceReads != 0 || st.BytesOut != 0 || st.CacheHits != 0 {
 		t.Fatalf("reset stats = %+v", st)
-	}
-}
-
-func publishMany(t testing.TB, s *Server, n int) {
-	t.Helper()
-	for i := 1; i <= n; i++ {
-		body := ".title Doc\n" + strings.Repeat("filler words to occupy several blocks of optical storage. ", 30) + "\n"
-		if _, err := s.Publish(docObject(t, object.ID(i), body)); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-func TestSimulateLoadResponseGrowsWithClients(t *testing.T) {
-	s := newServer(t, 8192, WithCache(0))
-	publishMany(t, s, 10)
-	light := s.SimulateLoad(LoadConfig{Clients: 1, RequestsEach: 12, ThinkTime: 50 * time.Millisecond, PieceLen: 4096, Sched: FCFS, Seed: 1})
-	heavy := s.SimulateLoad(LoadConfig{Clients: 12, RequestsEach: 12, ThinkTime: 50 * time.Millisecond, PieceLen: 4096, Sched: FCFS, Seed: 1})
-	if light.Served != 12 || heavy.Served != 144 {
-		t.Fatalf("served %d / %d", light.Served, heavy.Served)
-	}
-	if heavy.Mean <= light.Mean {
-		t.Fatalf("mean response did not grow with load: light=%v heavy=%v", light.Mean, heavy.Mean)
-	}
-	if heavy.Utilization <= light.Utilization {
-		t.Fatalf("utilization did not grow: %v vs %v", heavy.Utilization, light.Utilization)
-	}
-}
-
-func TestSimulateLoadSchedulerHelps(t *testing.T) {
-	s1 := newServer(t, 8192, WithCache(0))
-	publishMany(t, s1, 12)
-	fcfs := s1.SimulateLoad(LoadConfig{Clients: 10, RequestsEach: 10, ThinkTime: 5 * time.Millisecond, PieceLen: 2048, Sched: FCFS, Seed: 3})
-
-	s2 := newServer(t, 8192, WithCache(0))
-	publishMany(t, s2, 12)
-	sstf := s2.SimulateLoad(LoadConfig{Clients: 10, RequestsEach: 10, ThinkTime: 5 * time.Millisecond, PieceLen: 2048, Sched: SSTF, Seed: 3})
-
-	if sstf.Mean >= fcfs.Mean {
-		t.Fatalf("SSTF (%v) not better than FCFS (%v) under load", sstf.Mean, fcfs.Mean)
-	}
-}
-
-func TestSimulateLoadEmpty(t *testing.T) {
-	s := newServer(t, 64)
-	st := s.SimulateLoad(LoadConfig{Clients: 2, RequestsEach: 2})
-	if st.Served != 0 {
-		t.Fatalf("served %d on empty archive", st.Served)
-	}
-}
-
-func TestSchedKindString(t *testing.T) {
-	if FCFS.String() != "fcfs" || SSTF.String() != "sstf" || SCAN.String() != "scan" {
-		t.Fatal("SchedKind.String mismatch")
-	}
-}
-
-func TestSCANServesAll(t *testing.T) {
-	s := newServer(t, 8192, WithCache(0))
-	publishMany(t, s, 12)
-	scan := s.SimulateLoad(LoadConfig{Clients: 8, RequestsEach: 8, ThinkTime: time.Millisecond, PieceLen: 2048, Sched: SCAN, Seed: 5})
-	if scan.Served != 64 {
-		t.Fatalf("SCAN served %d of 64", scan.Served)
 	}
 }

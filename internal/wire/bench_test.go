@@ -33,7 +33,7 @@ func BenchmarkDescriptorFetch(b *testing.B) {
 // BenchmarkServePieceReads8ClientsParallel measures cache-hit piece-read
 // throughput over TCP with 8 concurrent client connections — the wall-clock
 // half of the E-CONC experiment (the vclock half is
-// TestSimulateContentionModels). Throughput scales with available cores,
+// TestRunContentionModels). Throughput scales with available cores,
 // since a cache-hit handler is pure CPU.
 func BenchmarkServePieceReads8ClientsParallel(b *testing.B) {
 	srv := testServer(b)

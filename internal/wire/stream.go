@@ -747,9 +747,18 @@ func (s *muxStream) Recv() (StreamChunk, error) {
 	}
 }
 
+// send writes one control frame (credit, cancel) under the stream's
+// correlation id. It goes through the transport's sendFrame, so the write
+// arms its own deadline like any call; a failed write poisons the stream —
+// the server would never see the credit, and Recv would otherwise stall.
+func (s *muxStream) send(msg []byte) {
+	if _, err := s.m.sendFrame(s.id, msg); err != nil {
+		s.fail(fmt.Errorf("%w: stream write: %v", ErrTransportClosed, err))
+	}
+}
+
 // Grant implements StreamConn: it sends a credit frame under the stream's
-// correlation id. Write failures are deliberately ignored — the read loop
-// surfaces connection death to Recv with a classified error.
+// correlation id.
 func (s *muxStream) Grant(n int) {
 	if n <= 0 {
 		return
@@ -760,12 +769,10 @@ func (s *muxStream) Grant(n int) {
 	if dead {
 		return
 	}
-	msg := appendU32([]byte{OpStreamCredit}, uint32(n))
-	out := muxFrame(s.id, msg)
-	s.m.writeMu.Lock()
-	s.m.conn.Write(out)
-	s.m.writeMu.Unlock()
-	pool.Bytes.Put(out)
+	var msg [5]byte
+	msg[0] = OpStreamCredit
+	binary.BigEndian.PutUint32(msg[1:], uint32(n))
+	s.send(msg[:])
 }
 
 // Close implements StreamConn: the stream's demux slot is released, and if
@@ -786,11 +793,7 @@ func (s *muxStream) Close() error {
 	}
 	s.m.d.removeStream(s.id)
 	if sendCancel {
-		out := muxFrame(s.id, []byte{OpStreamCancel})
-		s.m.writeMu.Lock()
-		s.m.conn.Write(out)
-		s.m.writeMu.Unlock()
-		pool.Bytes.Put(out)
+		s.send([]byte{OpStreamCancel})
 	}
 	return nil
 }

@@ -139,6 +139,58 @@ func TestVoiceStreamOverMux(t *testing.T) {
 	}
 }
 
+// TestStreamCreditOutlivesCallTimeout: a stream that idles past the call
+// timeout with no call beside it must keep delivering once the client grants
+// again — every credit write arms its own deadline instead of inheriting the
+// expired one the open left on the connection.
+func TestStreamCreditOutlivesCallTimeout(t *testing.T) {
+	srv, id := voiceServer(t)
+	_, want := voiceGroundTruth(t, srv, id)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go ServeWith(l, &Handler{Srv: srv}, ServeOpts{})
+	tp, err := DialMux(l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewClient(tp)
+	defer c.Close()
+
+	tp.SetCallTimeout(30 * time.Millisecond)
+	_, sc, err := c.VoiceStreamCtx(context.Background(), id, 0, StreamChunkBytes)
+	if err != nil {
+		t.Fatalf("VoiceStreamCtx: %v", err)
+	}
+	defer sc.Close()
+	time.Sleep(90 * time.Millisecond) // the open's write deadline is long gone
+	if data := drainStream(t, sc, 0); !bytes.Equal(data, want) {
+		t.Fatalf("streamed %d PCM bytes after the idle gap, want %d", len(data), len(want))
+	}
+}
+
+// TestStreamFailedCreditWriteFailsStream: a credit frame that cannot be
+// written (the peer stopped reading; the write deadline fires) poisons the
+// stream, so Recv reports a dead transport instead of waiting for data the
+// server will never be allowed to send.
+func TestStreamFailedCreditWriteFailsStream(t *testing.T) {
+	client, peer := net.Pipe() // nobody reads peer: every write blocks
+	defer client.Close()
+	defer peer.Close()
+	m := &MuxTransport{conn: client, d: newDemux()}
+	m.SetCallTimeout(20 * time.Millisecond)
+	st := &muxStream{m: m, id: 1, notify: make(chan struct{}, 1)}
+	if err := m.d.registerStream(st.id, st); err != nil {
+		t.Fatal(err)
+	}
+	st.Grant(StreamChunkBytes)
+	if _, err := st.Recv(); !errors.Is(err, ErrTransportClosed) {
+		t.Fatalf("Recv after a failed credit write: %v, want ErrTransportClosed", err)
+	}
+}
+
 // TestVoiceStreamResumeOffset: an open with from > 0 streams exactly the
 // suffix — the failover-resume contract.
 func TestVoiceStreamResumeOffset(t *testing.T) {
