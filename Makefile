@@ -1,5 +1,5 @@
 GO ?= go
-BENCH_OUT ?= BENCH_13.json
+BENCH_OUT ?= BENCH_14.json
 
 .PHONY: all build test race bench bench-smoke bench-json bench-json-smoke bench-e2e-smoke alloc-guard fault-matrix load-smoke shard-smoke stream-smoke gate-smoke index-smoke surface fmt vet check
 
@@ -25,10 +25,11 @@ fault-matrix:
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# One-iteration pass over the pipeline benchmarks: catches bit-rot in the
-# wire mux and prefetch benchmark harnesses without paying for a full run.
+# One-iteration pass over the pipeline and raster/encode benchmarks: catches
+# bit-rot in the wire mux, prefetch and page-to-PNG benchmark harnesses
+# without paying for a full run.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'EPipe|Mux|Prefetch' -benchtime=1x . ./internal/wire ./internal/workstation
+	$(GO) test -run '^$$' -bench 'EPipe|Mux|Prefetch|EncodePNG|BitmapOr|ScreenRender' -benchtime=1x . ./internal/wire ./internal/workstation ./internal/image ./internal/screen ./internal/gateway
 
 # Benchmark-regression report: run the E-ALLOC hot-path benchmarks plus
 # the E-LOAD mass-session run, the E-SHARD scaling sweep, the E-STREAM

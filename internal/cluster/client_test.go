@@ -1,8 +1,10 @@
 package cluster_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"net"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -471,5 +473,61 @@ func TestRoutedBatchAllocs(t *testing.T) {
 	// makes the router allocate per miniature would blow far past it.
 	if avg > 60 {
 		t.Fatalf("routed warm batch allocates %.1f objects/run, budget 60", avg)
+	}
+}
+
+// TestDialLearnsMapFromHelloAck serves a fleet over real TCP: the opening
+// exchange (wire's acceptHello) must still attach the cluster map to its
+// HELLO ack, so cluster.Dial learns the topology from the seed connection
+// without a CLUSTERMAP round trip.
+func TestDialLearnsMapFromHelloAck(t *testing.T) {
+	sh, err := demo.BuildSharded(1<<15, 40, 2, cluster.DefaultVnodes)
+	if err != nil {
+		t.Fatalf("BuildSharded: %v", err)
+	}
+	m := &cluster.Map{Epoch: 1, Vnodes: cluster.DefaultVnodes}
+	for i, srv := range sh.Servers {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { l.Close() })
+		go wire.ServeWith(l, &wire.Handler{Srv: srv}, wire.ServeOpts{})
+		m.Shards = append(m.Shards, cluster.Shard{ID: i, Primary: l.Addr().String()})
+	}
+	enc := m.Encode()
+	for _, srv := range sh.Servers {
+		srv.SetClusterMap(m.Epoch, enc)
+	}
+	var (
+		seedOnce  sync.Once // the first dial is the seed; shard dials may overlap later
+		seedExtra []byte
+	)
+	dial := func(ep string) (wire.Transport, error) {
+		tp, err := wire.DialMux(ep)
+		if err != nil {
+			return nil, err
+		}
+		seedOnce.Do(func() { seedExtra = tp.HelloExtra() })
+		return tp, nil
+	}
+	c, err := cluster.Dial(m.Shards[1].Primary, dial)
+	if err != nil {
+		t.Fatalf("cluster.Dial: %v", err)
+	}
+	defer c.Close()
+	if !bytes.Equal(seedExtra, enc) {
+		t.Fatalf("HELLO ack carried %d bytes, want the %d-byte cluster map", len(seedExtra), len(enc))
+	}
+	if got := c.Map(); got == nil || got.Epoch != 1 || len(got.Shards) != 2 {
+		t.Fatalf("client map = %+v", got)
+	}
+	want := 0
+	for _, srv := range sh.Servers {
+		want += len(srv.IDs())
+	}
+	ids, _, err := c.ListCtx(context.Background())
+	if err != nil || len(ids) != want || want == 0 {
+		t.Fatalf("ListCtx over the dialed fleet: %d ids, err %v; want %d", len(ids), err, want)
 	}
 }

@@ -86,8 +86,14 @@ type Stats struct {
 	// DroppedPushes counts events a slow subscriber's buffer refused —
 	// the subscriber sees a gap, the session is never blocked by it.
 	DroppedPushes int64
-	PNGHits       int64
-	PNGMisses     int64
+	// PNGHits and PNGMisses count the gateway-wide miniature PNG LRU only.
+	PNGHits   int64
+	PNGMisses int64
+	// ViewEncodes counts screen views that had to be encoded; ViewReuses
+	// those served from the session's last view PNG because the rendered
+	// frame had not changed (an open's event, then its view.png fetch).
+	ViewEncodes int64
+	ViewReuses  int64
 	// Shed counts fair-share admission rejections (ErrBusy).
 	Shed int64
 }
@@ -119,6 +125,11 @@ type session struct {
 
 	ops sync.Mutex
 
+	// The last encoded view and the hash of the frame it shows, guarded by
+	// ops. The bytes are immutable and shared with whoever was handed them.
+	viewHash uint64
+	viewPNG  []byte
+
 	mu   sync.Mutex
 	subs map[chan Event]struct{}
 }
@@ -139,6 +150,8 @@ type Hub struct {
 	plannedQueries        int64
 	pushes, pushBytes     int64
 	droppedPushes         int64
+	viewEncodes           int64
+	viewReuses            int64
 }
 
 // New builds a Hub over a pool of backends.
@@ -365,17 +378,35 @@ func (h *Hub) OpenObject(ctx context.Context, sid uint64, id object.ID) (Event, 
 	return ev, nil
 }
 
-// renderView encodes the session's current screen. The rendered frame is
-// this call's own bitmap: released to the pool right after the encode.
+// renderView returns the session's current screen as PNG; the caller holds
+// s.ops. A frame whose hash — the screen's snapshot identity — matches the
+// last one encoded is answered with that encoding. The hash decides, not a
+// dirty flag: the screen is mutated from layers that know nothing of the
+// gateway, and the rendered frame is in hand here anyway.
 func (h *Hub) renderView(s *session) ([]byte, error) {
 	frame := s.ws.Manager().Screen().Render()
+	defer frame.Release() // this call's own bitmap
+	sum := frame.Hash()
+	if s.viewPNG != nil && s.viewHash == sum {
+		h.mu.Lock()
+		h.viewReuses++
+		h.mu.Unlock()
+		return s.viewPNG, nil
+	}
 	data, err := encodePNG(frame)
-	frame.Release()
-	return data, err
+	if err != nil {
+		return nil, err
+	}
+	s.viewHash, s.viewPNG = sum, data
+	h.mu.Lock()
+	h.viewEncodes++
+	h.mu.Unlock()
+	return data, nil
 }
 
-// ViewPNG renders the session's current screen as PNG (uncached — the
-// screen is per-session, mutable state).
+// ViewPNG returns the session's current screen as PNG: the bytes of the
+// last view when the screen has not changed since, a fresh encode otherwise.
+// The slice is shared and immutable.
 func (h *Hub) ViewPNG(sid uint64) ([]byte, error) {
 	s, err := h.get(sid)
 	if err != nil {
@@ -511,6 +542,8 @@ func (h *Hub) Stats() Stats {
 		Pushes:         h.pushes,
 		PushBytes:      h.pushBytes,
 		DroppedPushes:  h.droppedPushes,
+		ViewEncodes:    h.viewEncodes,
+		ViewReuses:     h.viewReuses,
 	}
 	h.mu.Unlock()
 	st.PNGHits, st.PNGMisses = h.cache.counters()
@@ -534,6 +567,8 @@ func (h *Hub) WriteMetrics(ctx context.Context, w io.Writer) error {
 	fmt.Fprintf(w, "gateway_dropped_pushes %d\n", st.DroppedPushes)
 	fmt.Fprintf(w, "gateway_png_cache_hits %d\n", st.PNGHits)
 	fmt.Fprintf(w, "gateway_png_cache_misses %d\n", st.PNGMisses)
+	fmt.Fprintf(w, "gateway_view_encodes %d\n", st.ViewEncodes)
+	fmt.Fprintf(w, "gateway_view_reuses %d\n", st.ViewReuses)
 	fmt.Fprintf(w, "gateway_shed %d\n", st.Shed)
 	for i, be := range h.cfg.Backends {
 		bs, err := be.StatsCtx(ctx)

@@ -184,6 +184,9 @@ func TestGatewayBrowseHTTP(t *testing.T) {
 		"gateway_sessions_active 1",
 		"gateway_steps",
 		"gateway_png_cache_hits",
+		// The open's event and the view.png fetch shared one encode.
+		"gateway_view_encodes 1\n",
+		"gateway_view_reuses 1\n",
 		`backend_up{backend="0"} 1`,
 		`backend_up{backend="1"} 1`,
 	} {

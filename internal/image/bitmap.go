@@ -10,7 +10,7 @@ package image
 
 import (
 	"fmt"
-	"hash/fnv"
+	"math/bits"
 	"strings"
 
 	"minos/internal/pool"
@@ -87,9 +87,19 @@ func (b *Bitmap) Get(x, y int) bool {
 
 // Fill sets every pixel in the rectangle to v.
 func (b *Bitmap) Fill(r Rect, v bool) {
+	r = r.Clip(Rect{W: b.W, H: b.H})
+	if r.Area() == 0 {
+		return
+	}
+	sp := spanOf(r.X, r.W)
 	for y := r.Y; y < r.Y+r.H; y++ {
-		for x := r.X; x < r.X+r.W; x++ {
-			b.Set(x, y, v)
+		row := b.row(y)
+		for i := sp.first; i <= sp.last; i++ {
+			if v {
+				row[i] |= sp.mask(i)
+			} else {
+				row[i] &^= sp.mask(i)
+			}
 		}
 	}
 }
@@ -98,11 +108,10 @@ func (b *Bitmap) Fill(r Rect, v bool) {
 // compositing behaviour cheaply.
 func (b *Bitmap) PopCount() int {
 	n := 0
+	sp := spanOf(0, b.W)
 	for y := 0; y < b.H; y++ {
-		for x := 0; x < b.W; x++ {
-			if b.Get(x, y) {
-				n++
-			}
+		for i, v := range b.row(y) {
+			n += bits.OnesCount8(v & sp.mask(i))
 		}
 	}
 	return n
@@ -118,22 +127,31 @@ func (b *Bitmap) Clone() *Bitmap {
 // Or draws src onto b at (dx, dy) with OR semantics: set pixels turn on,
 // clear pixels leave the destination alone. This is the transparency
 // compositing operation.
-func (b *Bitmap) Or(src *Bitmap, dx, dy int) {
-	for y := 0; y < src.H; y++ {
-		for x := 0; x < src.W; x++ {
-			if src.Get(x, y) {
-				b.Set(dx+x, dy+y, true)
-			}
-		}
-	}
-}
+func (b *Bitmap) Or(src *Bitmap, dx, dy int) { b.combine(src, dx, dy, false) }
 
 // Blit copies src onto b at (dx, dy), overwriting both set and clear pixels
 // within src's rectangle.
-func (b *Bitmap) Blit(src *Bitmap, dx, dy int) {
-	for y := 0; y < src.H; y++ {
-		for x := 0; x < src.W; x++ {
-			b.Set(dx+x, dy+y, src.Get(x, y))
+func (b *Bitmap) Blit(src *Bitmap, dx, dy int) { b.combine(src, dx, dy, true) }
+
+// BlitMasked copies src onto b at (dx, dy) wherever mask — laid over src,
+// origin on origin — has a set pixel; every other destination pixel is left
+// alone. Masked pixels outside src copy as clear.
+func (b *Bitmap) BlitMasked(src, mask *Bitmap, dx, dy int) {
+	r := b.overlap(mask, dx, dy)
+	if r.Area() == 0 {
+		return
+	}
+	sp := spanOf(r.X, r.W)
+	for y := r.Y; y < r.Y+r.H; y++ {
+		drow, mrow := b.row(y), mask.row(y-dy)
+		var srow []byte
+		if y-dy < src.H {
+			srow = src.row(y - dy)
+		}
+		for i := sp.first; i <= sp.last; i++ {
+			if m := mask.fetch8(mrow, i*8-dx) & sp.mask(i); m != 0 {
+				drow[i] = drow[i]&^m | src.fetch8(srow, i*8-dx)&m
+			}
 		}
 	}
 }
@@ -143,14 +161,110 @@ func (b *Bitmap) Blit(src *Bitmap, dx, dy int) {
 // these bytes.
 func (b *Bitmap) Extract(r Rect) *Bitmap {
 	out := NewBitmap(r.W, r.H)
-	for y := 0; y < r.H; y++ {
-		for x := 0; x < r.W; x++ {
-			if b.Get(r.X+x, r.Y+y) {
-				out.Set(x, y, true)
+	out.Or(b, -r.X, -r.Y)
+	return out
+}
+
+// The raster kernels below work a packed byte of a row at a time. They rely
+// on, and preserve, one invariant: the pad bits of a row — bits W%8..7 of
+// its last byte when W is not a multiple of 8 — are zero. Hash covers them,
+// so a stray pad bit would change a screen's snapshot identity. A kernel
+// never writes outside the clipped rectangle and never lets a source's pad
+// bits through (bitmap bytes decoded off the wire are stored as received).
+
+// row returns the packed bytes of row y.
+func (b *Bitmap) row(y int) []byte { return b.bits[y*b.stride : (y+1)*b.stride] }
+
+// overlap clips src placed at (dx, dy) against b and returns the covered
+// destination rectangle; the matching source origin is (X-dx, Y-dy).
+func (b *Bitmap) overlap(src *Bitmap, dx, dy int) Rect {
+	return Rect{X: dx, Y: dy, W: src.W, H: src.H}.Clip(Rect{W: b.W, H: b.H})
+}
+
+// span is the bytes of a row a run of bits touches, with the masks of the
+// bits the run owns in the first and the last of them.
+type span struct {
+	first, last int
+	fm, lm      byte
+}
+
+// spanOf returns the span of w bits starting at bit x (empty, last < first,
+// for w == 0).
+func spanOf(x, w int) span {
+	end := x + w - 1
+	return span{x >> 3, end >> 3, 0xFF << (x & 7), 0xFF >> (7 - end&7)}
+}
+
+// mask returns the bits of byte i (first <= i <= last) the run owns.
+func (s span) mask(i int) byte {
+	m := byte(0xFF)
+	if i == s.first {
+		m &= s.fm
+	}
+	if i == s.last {
+		m &= s.lm
+	}
+	return m
+}
+
+// fetch8 returns the 8 pixels of row (a row of b) starting at bit p, which
+// may be negative or run past the end; pixels outside [0, W) read clear.
+func (b *Bitmap) fetch8(row []byte, p int) byte {
+	if p <= -8 || p >= b.W || len(row) == 0 {
+		return 0
+	}
+	j, sh := p>>3, uint(p&7)
+	var v byte
+	if j >= 0 {
+		v = row[j] >> sh
+	}
+	if sh != 0 && j+1 < len(row) {
+		v |= row[j+1] << (8 - sh)
+	}
+	if p+8 > b.W {
+		v &= 0xFF >> (p + 8 - b.W)
+	}
+	return v
+}
+
+// combine is Or (replace false) and Blit (replace true): the rectangle is
+// clipped once, the two edge bytes of each row go through fetch8 and their
+// masks, and the bytes between are whole-byte shifts of the source row.
+func (b *Bitmap) combine(src *Bitmap, dx, dy int, replace bool) {
+	r := b.overlap(src, dx, dy)
+	if r.Area() == 0 {
+		return
+	}
+	sp := spanOf(r.X, r.W)
+	off, sh := (-dx)>>3, uint(-dx&7) // source bit = destination bit - dx
+	for y := r.Y; y < r.Y+r.H; y++ {
+		drow, srow := b.row(y), src.row(y-dy)
+		for _, i := range [2]int{sp.first, sp.last} {
+			v, m := src.fetch8(srow, i*8-dx), sp.mask(i)
+			if replace {
+				drow[i] &^= m
+			}
+			drow[i] |= v & m
+		}
+		if sp.last == sp.first {
+			continue
+		}
+		// Every bit of an interior byte lies inside the clipped rectangle,
+		// so its source bytes exist: no bounds or pad handling needed.
+		d, s := drow[sp.first+1:sp.last], srow[sp.first+1+off:]
+		if replace {
+			clear(d)
+		}
+		if sh == 0 {
+			for i := range d {
+				d[i] |= s[i]
+			}
+		} else {
+			for i := range d {
+				d[i] |= s[i]>>sh | s[i+1]<<(8-sh)
 			}
 		}
 	}
-	return out
 }
 
 // Downscale returns a miniature reduced by integer factor f using a
@@ -181,17 +295,23 @@ func (b *Bitmap) Downscale(f int) *Bitmap {
 	return out
 }
 
-// Hash returns a stable content hash used by tests and screen snapshots.
+// Hash returns a stable content hash used by tests, screen snapshots and
+// the gateway's encode-once check: 64-bit FNV-1a over the low 16 bits of
+// each dimension (little-endian) followed by the packed rows, pad bits
+// included.
 func (b *Bitmap) Hash() uint64 {
-	h := fnv.New64a()
-	var dims [8]byte
-	dims[0] = byte(b.W)
-	dims[1] = byte(b.W >> 8)
-	dims[2] = byte(b.H)
-	dims[3] = byte(b.H >> 8)
-	h.Write(dims[:4])
-	h.Write(b.bits)
-	return h.Sum64()
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for _, c := range [4]byte{byte(b.W), byte(b.W >> 8), byte(b.H), byte(b.H >> 8)} {
+		h = (h ^ uint64(c)) * prime64
+	}
+	for _, c := range b.bits {
+		h = (h ^ uint64(c)) * prime64
+	}
+	return h
 }
 
 // ASCII renders the bitmap as '#' and '.' rows, for golden tests and the

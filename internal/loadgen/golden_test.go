@@ -33,7 +33,8 @@ type goldenRuns struct {
 // Every field is that commit's value except Queue[*].P95 and
 // Contention[*].HitP95: those two were regenerated when the five percentile
 // rules became one (kernel.go percentile), which moves a p95 by at most one
-// rank of the sorted sample.
+// rank of the sorted sample. Gate.Hub.ViewEncodes/ViewReuses are counters
+// added later (PR 14); their values date from that PR.
 func TestGoldenAcrossCommits(t *testing.T) {
 	raw, err := os.ReadFile("testdata/golden.json")
 	if err != nil {

@@ -26,6 +26,20 @@ func BenchmarkShowPageAndRender(b *testing.B) {
 	}
 }
 
+// BenchmarkScreenRender is the gateway's per-view composition at its
+// default geometry: content Or, separator, title and menu text.
+func BenchmarkScreenRender(b *testing.B) {
+	s := New(240, 140)
+	s.SetTitle("BENCH")
+	s.SetMenu([]string{"NEXT PAGE", "PREV PAGE", "FIND PATTERN"})
+	s.ShowPage(benchPage(s))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Render().Release()
+	}
+}
+
 func BenchmarkSuperimpose(b *testing.B) {
 	s := New(512, 342)
 	p := benchPage(s)

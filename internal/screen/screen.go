@@ -160,14 +160,7 @@ func (s *Screen) Overwrite(src, mask *img.Bitmap) {
 	if src == nil || mask == nil {
 		return
 	}
-	off := s.stripOffset()
-	for y := 0; y < mask.H; y++ {
-		for x := 0; x < mask.W; x++ {
-			if mask.Get(x, y) {
-				s.content.Set(x, y+off, src.Get(x, y))
-			}
-		}
-	}
+	s.content.BlitMasked(src, mask, 0, s.stripOffset())
 }
 
 // PinStrip pins a visual logical message bitmap to the top of the screen;
@@ -198,15 +191,11 @@ func (s *Screen) Render() *img.Bitmap {
 	out := img.NewBitmap(s.W, s.H)
 	if s.strip != nil {
 		out.Or(s.strip, 0, 0)
-		for x := 0; x < s.ContentWidth(); x++ {
-			out.Set(x, s.strip.H, true)
-		}
+		out.Fill(img.Rect{Y: s.strip.H, W: s.ContentWidth(), H: 1}, true)
 	}
 	out.Or(s.content, 0, 0)
 	// Menu column separator.
-	for y := 0; y < s.H; y++ {
-		out.Set(s.ContentWidth(), y, true)
-	}
+	out.Fill(img.Rect{X: s.ContentWidth(), W: 1, H: s.H}, true)
 	mx := s.ContentWidth() + 4
 	my := 2
 	if s.title != "" {

@@ -1,6 +1,8 @@
 package screen
 
 import (
+	"bytes"
+	"math/rand"
 	"testing"
 
 	img "minos/internal/image"
@@ -295,6 +297,53 @@ func TestGoldenTinyRender(t *testing.T) {
 	for y := 0; y < s.H; y++ {
 		if !r.Get(s.ContentWidth(), y) {
 			t.Fatalf("separator missing at y=%d", y)
+		}
+	}
+}
+
+// refOverwrite is the per-pixel masked copy Overwrite performed before the
+// byte-parallel kernel, kept as the reference.
+func refOverwrite(content, src, mask *img.Bitmap, off int) {
+	for y := 0; y < mask.H; y++ {
+		for x := 0; x < mask.W; x++ {
+			if mask.Get(x, y) {
+				content.Set(x, y+off, src.Get(x, y))
+			}
+		}
+	}
+}
+
+func TestOverwriteMatchesPerPixelReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	random := func(w, h int) *img.Bitmap {
+		b := img.NewBitmap(w, h)
+		for y := 0; y < h; y++ {
+			for x := 0; x < w; x++ {
+				b.Set(x, y, rng.Intn(2) == 1)
+			}
+		}
+		return b
+	}
+	for _, w := range []int{12, 61, 100, 244} { // content widths 9, 46, 75, 183
+		for _, stripH := range []int{0, 7} {
+			s := New(w, 40)
+			if stripH > 0 {
+				s.PinStrip(random(s.ContentWidth(), stripH))
+			}
+			cw := s.ContentWidth()
+			// Overwrites smaller than, equal to and larger than the content
+			// area, with a source that does not cover the whole mask.
+			for _, d := range []int{-5, 0, 9} {
+				s.ShowPage(random(cw, 40))
+				src, mask := random(cw+d, 30+d), random(cw+d+3, 33+d)
+				want := s.Content()
+				refOverwrite(want, src, mask, s.stripOffset())
+				s.Overwrite(src, mask)
+				if got := s.Content(); !bytes.Equal(got.Raw(), want.Raw()) {
+					t.Fatalf("screen %d wide, strip %d, overwrite %+d: kernel and per-pixel reference differ\n got:\n%s want:\n%s",
+						w, stripH, d, got.ASCII(), want.ASCII())
+				}
+			}
 		}
 	}
 }

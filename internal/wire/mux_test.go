@@ -254,6 +254,28 @@ func TestServeRequiresHello(t *testing.T) {
 	}
 }
 
+// TestHelloMidConnectionIsUnknownOp: HELLO is answered by the opening
+// exchange alone. Sent again on an open connection it is a stray opcode —
+// an error frame on its own correlation id, the connection unharmed.
+func TestHelloMidConnectionIsUnknownOp(t *testing.T) {
+	tp, err := DialMux(serveTCP(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewClient(tp)
+	defer c.Close()
+	resp, err := tp.RoundTrip(appendU32([]byte{OpHello}, protocolVersion))
+	if err != nil {
+		t.Fatalf("mid-connection HELLO broke the transport: %v", err)
+	}
+	if _, _, err := parseResponse(resp); err == nil || !strings.Contains(err.Error(), "unknown op") {
+		t.Fatalf("mid-connection HELLO answered %v, want an unknown-op error frame", err)
+	}
+	if ids, _, err := c.QueryCtx(context.Background(), "lung"); err != nil || len(ids) != 1 {
+		t.Fatalf("connection unusable after a stray HELLO: ids=%v err=%v", ids, err)
+	}
+}
+
 // stalledServer acknowledges HELLO on accept, then swallows every request
 // without replying. stop closes all accepted connections.
 func stalledServer(t testing.TB) (addr string, stop func()) {

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -216,7 +217,7 @@ func ServeWith(l net.Listener, h *Handler, opts ServeOpts) error {
 			// One tenant per connection: admission fairness tracks
 			// sessions, not individual requests.
 			tenant := h.NewTenant()
-			if acceptHello(conn, tenant, h, opts, logf) {
+			if acceptHello(conn, h, opts, logf) {
 				muxConn(conn, tenant, h, opts, logf)
 			}
 		}(conn)
@@ -227,7 +228,7 @@ func ServeWith(l net.Listener, h *Handler, opts ServeOpts) error {
 // the only lock-step frames on the wire. The first frame must be a HELLO
 // naming protocolVersion; anything else is answered with an ordinary error
 // frame and refused (false), and the caller closes the connection.
-func acceptHello(conn net.Conn, tenant uint64, h *Handler, opts ServeOpts, logf func(format string, args ...any)) bool {
+func acceptHello(conn net.Conn, h *Handler, opts ServeOpts, logf func(format string, args ...any)) bool {
 	if opts.IdleTimeout > 0 {
 		conn.SetReadDeadline(time.Now().Add(opts.IdleTimeout))
 	}
@@ -239,12 +240,7 @@ func acceptHello(conn net.Conn, tenant uint64, h *Handler, opts ServeOpts, logf 
 		}
 		return false
 	}
-	var resp []byte
-	if len(req) == 5 && req[0] == OpHello {
-		resp = h.HandleAs(tenant, req) // an error frame for any other version
-	} else {
-		resp = errResp(errors.New("wire: connection must open with HELLO"))
-	}
+	resp := helloAck(req, h)
 	ok := resp[0] == statusOK
 	err = writeFramePooled(conn, resp)
 	// This is the last holder of both frames: the response is written out,
@@ -261,4 +257,25 @@ func acceptHello(conn net.Conn, tenant uint64, h *Handler, opts ServeOpts, logf 
 		logf("wire: %s: refused: first frame is not a HELLO for protocol version %d", conn.RemoteAddr(), protocolVersion)
 	}
 	return ok
+}
+
+// helloAck answers a connection's first frame. HELLO exists only here: the
+// request handler has no case for it, so a HELLO sent mid-connection is an
+// unknown op like any other stray opcode.
+func helloAck(req []byte, h *Handler) []byte {
+	if len(req) != 5 || req[0] != OpHello {
+		return errResp(errors.New("wire: connection must open with HELLO"))
+	}
+	if v := binary.BigEndian.Uint32(req[1:]); v != protocolVersion {
+		return errResp(fmt.Errorf("wire: unsupported protocol version %d", v))
+	}
+	payload := appendU32(nil, protocolVersion)
+	// A fleet member ships its cluster map with the HELLO ack, so a
+	// routing client learns the shard topology in the round trip it
+	// already pays to open the connection.
+	if _, mp, ok := h.Srv.ClusterMap(); ok {
+		payload = appendU32(payload, uint32(len(mp)))
+		payload = append(payload, mp...)
+	}
+	return okResp(0, payload)
 }

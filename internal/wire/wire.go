@@ -331,23 +331,6 @@ func (h *Handler) HandleAs(tenant uint64, req []byte) []byte {
 			out = append(out, payload...)
 		}
 		return finishResp(out, statusOK, 0)
-	case OpHello:
-		v, err := c.u32()
-		if err != nil {
-			return errResp(err)
-		}
-		if v != protocolVersion {
-			return errResp(fmt.Errorf("wire: unsupported protocol version %d", v))
-		}
-		payload := appendU32(nil, protocolVersion)
-		// A fleet member ships its cluster map with the HELLO ack, so a
-		// routing client learns the shard topology in the round trip it
-		// already pays to open the connection.
-		if _, mp, ok := h.Srv.ClusterMap(); ok {
-			payload = appendU32(payload, uint32(len(mp)))
-			payload = append(payload, mp...)
-		}
-		return okResp(0, payload)
 	case OpClusterMap:
 		epoch, err := c.u64()
 		if err != nil {
