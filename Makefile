@@ -1,5 +1,5 @@
 GO ?= go
-BENCH_OUT ?= BENCH_14.json
+BENCH_OUT ?= BENCH_15.json
 
 .PHONY: all build test race bench bench-smoke bench-json bench-json-smoke bench-e2e-smoke alloc-guard fault-matrix load-smoke shard-smoke stream-smoke gate-smoke index-smoke surface fmt vet check
 
@@ -25,11 +25,11 @@ fault-matrix:
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# One-iteration pass over the pipeline and raster/encode benchmarks: catches
-# bit-rot in the wire mux, prefetch and page-to-PNG benchmark harnesses
-# without paying for a full run.
+# One-iteration pass over the pipeline, stream and raster/encode benchmarks:
+# catches bit-rot in the wire mux, voice-stream, prefetch and page-to-PNG
+# benchmark harnesses without paying for a full run.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'EPipe|Mux|Prefetch|EncodePNG|BitmapOr|ScreenRender' -benchtime=1x . ./internal/wire ./internal/workstation ./internal/image ./internal/screen ./internal/gateway
+	$(GO) test -run '^$$' -bench 'EPipe|Mux|VoiceStreamTCP|AppendPCMSamples|Prefetch|EncodePNG|BitmapOr|ScreenRender' -benchtime=1x . ./internal/wire ./internal/workstation ./internal/image ./internal/screen ./internal/gateway
 
 # Benchmark-regression report: run the E-ALLOC hot-path benchmarks plus
 # the E-LOAD mass-session run, the E-SHARD scaling sweep, the E-STREAM
@@ -82,7 +82,7 @@ bench-e2e-smoke:
 # Steady-state allocation guards (testing.AllocsPerRun); skipped under
 # -race, where the runtime deliberately drops sync.Pool entries.
 alloc-guard:
-	$(GO) test -run 'Alloc' -count=1 ./internal/image ./internal/voice ./internal/server ./internal/wire ./internal/cluster ./internal/gateway ./internal/index
+	$(GO) test -run 'Alloc' -count=1 ./internal/image ./internal/voice ./internal/disk ./internal/server ./internal/wire ./internal/cluster ./internal/gateway ./internal/index
 
 # The tracked size numbers (ROADMAP aim 2): non-test Go lines outside the
 # benchmark and of the modelling package alone, and exported names (the

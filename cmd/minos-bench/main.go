@@ -16,7 +16,8 @@
 //
 // With -out - the report goes to stdout. The default package set covers the
 // rasterize→encode, miniature-serve, synthesis and wire paths measured by
-// the E-ALLOC experiment, plus the page-to-PNG path of a gateway view
+// the E-ALLOC experiment, the stream layer (one spoken part over loopback
+// TCP, the PCM decode loop), plus the page-to-PNG path of a gateway view
 // (raster Or, screen render, PNG encode).
 //
 // With -load the report additionally carries the E-LOAD mass-session run:
@@ -258,7 +259,7 @@ type Report struct {
 
 func main() {
 	out := flag.String("out", "BENCH_10.json", "report file (- = stdout)")
-	bench := flag.String("bench", "Rasterize|Miniature|Synthesize|MuxBatched|LocalRoundTrip|EncodePNG|BitmapOr|ScreenRender", "benchmark regex passed to go test")
+	bench := flag.String("bench", "Rasterize|Miniature|Synthesize|MuxBatched|LocalRoundTrip|VoiceStreamTCP|AppendPCMSamples|EncodePNG|BitmapOr|ScreenRender", "benchmark regex passed to go test")
 	benchtime := flag.String("benchtime", "", "go test -benchtime value (empty = default)")
 	count := flag.Int("count", 1, "go test -count value")
 	load := flag.Bool("load", false, "run the E-LOAD mass-session harness and embed its result")

@@ -26,7 +26,10 @@ var (
 // Device is a block device with a timing model.
 type Device interface {
 	// ReadBlock returns the block contents and the service time of the
-	// read given the current head position.
+	// read given the current head position. The slice is the device's own
+	// copy of the block, shared with every other reader of it: treat it as
+	// read-only. A later write to the block never changes a slice already
+	// handed out.
 	ReadBlock(n int) ([]byte, time.Duration, error)
 	// WriteBlock stores a full block and returns the service time.
 	WriteBlock(n int, data []byte) (time.Duration, error)
@@ -153,6 +156,26 @@ func (b *base) check(n int) error {
 	return nil
 }
 
+// ReadBlock implements Device for both media; unwritten blocks read as
+// zeroes. A written block is handed out as stored, capacity capped so an
+// append by the caller cannot reach past it: writes install a fresh slice
+// (WriteBlock copies its argument) and never touch an old one, so a block
+// once returned stays what it was.
+func (b *base) ReadBlock(n int) ([]byte, time.Duration, error) {
+	if err := b.check(n); err != nil {
+		return nil, 0, err
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.reads++
+	t := b.service(n)
+	bs := b.geo.BlockSize
+	if b.data[n] == nil {
+		return make([]byte, bs), t, nil
+	}
+	return b.data[n][:bs:bs], t, nil
+}
+
 // Stats reports operation counts and cumulative busy time.
 type Stats struct {
 	Reads, Writes int64
@@ -168,23 +191,6 @@ func NewMagnetic(name string, geo Geometry) (*Magnetic, error) {
 		return nil, err
 	}
 	return &Magnetic{base{name: name, geo: geo, data: make([][]byte, geo.Blocks)}}, nil
-}
-
-// ReadBlock implements Device; unwritten blocks read as zeroes.
-func (m *Magnetic) ReadBlock(n int) ([]byte, time.Duration, error) {
-	if err := m.check(n); err != nil {
-		return nil, 0, err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.reads++
-	t := m.service(n)
-	if m.data[n] == nil {
-		return make([]byte, m.geo.BlockSize), t, nil
-	}
-	out := make([]byte, m.geo.BlockSize)
-	copy(out, m.data[n])
-	return out, t, nil
 }
 
 // WriteBlock implements Device.
@@ -227,23 +233,6 @@ func NewOptical(name string, geo Geometry) (*Optical, error) {
 		base:    base{name: name, geo: geo, data: make([][]byte, geo.Blocks)},
 		written: make([]bool, geo.Blocks),
 	}, nil
-}
-
-// ReadBlock implements Device; unwritten blocks read as zeroes.
-func (o *Optical) ReadBlock(n int) ([]byte, time.Duration, error) {
-	if err := o.check(n); err != nil {
-		return nil, 0, err
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.reads++
-	t := o.service(n)
-	if o.data[n] == nil {
-		return make([]byte, o.geo.BlockSize), t, nil
-	}
-	out := make([]byte, o.geo.BlockSize)
-	copy(out, o.data[n])
-	return out, t, nil
 }
 
 // WriteBlock implements Device and enforces write-once semantics.

@@ -301,3 +301,79 @@ func TestLoadFileRejectsGarbage(t *testing.T) {
 		t.Fatal("missing file accepted")
 	}
 }
+
+// TestReadBlockAliasing pins the shared-block contract: ReadBlock hands out
+// the device's stored block without copying it, and nothing a writer does
+// afterwards — scribbling on the slice it passed to WriteBlock or Append,
+// rewriting the block on a magnetic disk — changes a block already handed
+// out. Unwritten blocks still read as zeroes, a fresh slice each time.
+func TestReadBlockAliasing(t *testing.T) {
+	fill := func(n int, v byte) []byte { return bytes.Repeat([]byte{v}, n) }
+
+	m := newMag(t, 8)
+	src := fill(m.BlockSize(), 'a')
+	if _, err := m.WriteBlock(2, src); err != nil {
+		t.Fatal(err)
+	}
+	clear(src) // the caller reuses its buffer
+	first, _, err := m.ReadBlock(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first, fill(m.BlockSize(), 'a')) {
+		t.Fatal("WriteBlock kept the caller's slice: scribbling on it changed the stored block")
+	}
+	if again, _, _ := m.ReadBlock(2); &again[0] != &first[0] {
+		t.Fatal("two reads of one block returned different backing arrays: ReadBlock copied")
+	}
+	if cap(first) != m.BlockSize() {
+		t.Fatalf("block handed out with cap %d: an append could reach past it", cap(first))
+	}
+	if _, err := m.WriteBlock(2, fill(m.BlockSize(), 'b')); err != nil { // magnetic rewrite
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first, fill(m.BlockSize(), 'a')) {
+		t.Fatal("a rewrite changed a block previously returned by ReadBlock")
+	}
+	if now, _, _ := m.ReadBlock(2); !bytes.Equal(now, fill(m.BlockSize(), 'b')) {
+		t.Fatal("rewrite not visible to a later read")
+	}
+	z1, _, _ := m.ReadBlock(5)
+	z1[0] = 0xFF
+	if z2, _, _ := m.ReadBlock(5); !bytes.Equal(z2, make([]byte, m.BlockSize())) {
+		t.Fatal("unwritten block does not read as zeroes")
+	}
+
+	o := newOpt(t, 16)
+	data := fill(3*o.BlockSize()/2, 'c')
+	start, n, _, err := o.Append(data)
+	if err != nil || n != 2 {
+		t.Fatalf("Append: %d blocks, %v", n, err)
+	}
+	b0, _, _ := o.ReadBlock(start)
+	b1, _, _ := o.ReadBlock(start + 1)
+	clear(data)
+	half := o.BlockSize() / 2
+	if !bytes.Equal(b0, fill(o.BlockSize(), 'c')) || !bytes.Equal(b1[:half], fill(half, 'c')) || !bytes.Equal(b1[half:], make([]byte, half)) {
+		t.Fatal("Append kept the caller's slice, or padded the last block wrongly")
+	}
+	if z, _, _ := o.ReadBlock(start + 2); !bytes.Equal(z, make([]byte, o.BlockSize())) {
+		t.Fatal("unwritten optical block does not read as zeroes")
+	}
+}
+
+// TestAllocReadBlock: reading a written block allocates nothing.
+func TestAllocReadBlock(t *testing.T) {
+	o := newOpt(t, 16)
+	if _, _, _, err := o.Append(make([]byte, 4*o.BlockSize())); err != nil {
+		t.Fatal(err)
+	}
+	avg := testing.AllocsPerRun(100, func() {
+		if _, _, err := o.ReadBlock(2); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > 0 {
+		t.Fatalf("ReadBlock allocates %.1f objects/run, want 0", avg)
+	}
+}

@@ -57,7 +57,10 @@ func (c *BlockCache) peek(blk uint64) []byte {
 	return nil
 }
 
-// Put inserts a block, evicting the least recently used beyond capacity.
+// Put inserts a block, evicting the least recently used at capacity: the
+// evicted entry is rewritten in place and moved to the front, so a cache
+// that is full — the steady state of a sweep larger than it — inserts
+// without allocating.
 func (c *BlockCache) Put(blk uint64, data []byte) {
 	if c.cap <= 0 {
 		return
@@ -69,13 +72,16 @@ func (c *BlockCache) Put(blk uint64, data []byte) {
 		e.Value.(*cacheEntry).data = data
 		return
 	}
-	e := c.ll.PushFront(&cacheEntry{blk: blk, data: data})
-	c.byBlk[blk] = e
-	for c.ll.Len() > c.cap {
-		old := c.ll.Back()
-		c.ll.Remove(old)
-		delete(c.byBlk, old.Value.(*cacheEntry).blk)
+	if c.ll.Len() < c.cap {
+		c.byBlk[blk] = c.ll.PushFront(&cacheEntry{blk: blk, data: data})
+		return
 	}
+	e := c.ll.Back()
+	ent := e.Value.(*cacheEntry)
+	delete(c.byBlk, ent.blk)
+	ent.blk, ent.data = blk, data
+	c.ll.MoveToFront(e)
+	c.byBlk[blk] = e
 }
 
 // Len returns the number of cached blocks.

@@ -163,3 +163,33 @@ func TestBlockCacheConcurrent(t *testing.T) {
 		t.Fatalf("hits %d + misses %d != %d lookups", hits, misses, gets)
 	}
 }
+
+// TestAllocBlockCachePutAtCapacity: a full cache rewrites its oldest entry
+// in place, so a sweep larger than the cache inserts without allocating —
+// and still evicts in LRU order.
+func TestAllocBlockCachePutAtCapacity(t *testing.T) {
+	c := NewBlockCache(4)
+	data := []byte{1}
+	for b := uint64(0); b < 4; b++ {
+		c.Put(b, data)
+	}
+	next := uint64(4)
+	avg := testing.AllocsPerRun(100, func() {
+		c.Put(next, data)
+		next++
+	})
+	if avg > 0 {
+		t.Fatalf("Put at capacity allocates %.1f objects/run, want 0", avg)
+	}
+	if c.Len() != 4 {
+		t.Fatalf("cache holds %d blocks, want 4", c.Len())
+	}
+	for b := next - 4; b < next; b++ {
+		if c.peek(b) == nil {
+			t.Fatalf("block %d, one of the four most recent, was evicted", b)
+		}
+	}
+	if c.peek(next-5) != nil {
+		t.Fatalf("block %d outlived four newer ones", next-5)
+	}
+}

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"context"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -105,4 +106,67 @@ func BenchmarkMiniatureServeWarm(b *testing.B) {
 		}
 		recycleResponse(resp) // as the serve loop does after the write
 	}
+}
+
+// BenchmarkVoiceStreamTCP is the stream layer's microbenchmark: one 0.9 MB
+// spoken part per iteration over loopback TCP — ServeWith on one end,
+// DialMux on the other, the workstation's 16-chunk window, block cache warm
+// — so what it times is frames, credit and copies, not the device model.
+func BenchmarkVoiceStreamTCP(b *testing.B) {
+	const pcmBytes = 900 << 10
+	srv, id := bigVoiceServer(b, pcmBytes, 8192)
+	tp, err := DialMux(serveSrv(b, srv))
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := NewClient(tp)
+	defer c.Close()
+	play := func() {
+		_, sc, err := c.VoiceStreamCtx(context.Background(), id, 0, 16*StreamChunkBytes)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer sc.Close()
+		n := 0
+		for {
+			ch, err := sc.Recv()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			n += len(ch.Data)
+			sc.Grant(len(ch.Data))
+		}
+		if n != pcmBytes {
+			b.Fatalf("streamed %d bytes, want %d", n, pcmBytes)
+		}
+	}
+	play() // warm the block cache and the pools
+	b.SetBytes(pcmBytes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		play()
+	}
+}
+
+var pcmSink []int16
+
+// BenchmarkAppendPCMSamples decodes one stream chunk into a reused buffer,
+// as the playback loop does per chunk.
+func BenchmarkAppendPCMSamples(b *testing.B) {
+	chunk := make([]byte, StreamChunkBytes)
+	for i := range chunk {
+		chunk[i] = byte(i * 7)
+	}
+	var dst []int16
+	b.SetBytes(StreamChunkBytes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst = AppendPCMSamples(dst[:0], chunk)
+	}
+	pcmSink = dst
 }

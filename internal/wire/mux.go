@@ -1,10 +1,12 @@
 package wire
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -123,9 +125,20 @@ func (d *demux) removeStream(id uint32) {
 	d.mu.Unlock()
 }
 
+// isStream reports whether id names an open stream. The read loop asks
+// before it reads a frame's body, to land stream frames in pooled buffers.
+func (d *demux) isStream(id uint32) bool {
+	d.mu.Lock()
+	_, ok := d.streams[id]
+	d.mu.Unlock()
+	return ok
+}
+
 // deliver routes one raw frame ([4-byte id][response]) to its pending
-// call or open stream. It reports whether the frame found a home; short
-// frames and unknown or already-completed ids are dropped.
+// call or open stream, which takes ownership of it: a call keeps the
+// response, a stream recycles the whole frame into pool.Bytes once consumed.
+// It reports whether the frame found a home; short frames and unknown or
+// already-completed ids are dropped and stay the caller's.
 func (d *demux) deliver(frame []byte) bool {
 	if len(frame) < 4 {
 		return false
@@ -146,7 +159,7 @@ func (d *demux) deliver(frame []byte) bool {
 		return true
 	}
 	if st != nil {
-		st.push(frame[4:])
+		st.push(frame)
 		return true
 	}
 	return false
@@ -218,6 +231,12 @@ func DialMux(addr string) (*MuxTransport, error) {
 	if err != nil {
 		return nil, err
 	}
+	return openMux(conn)
+}
+
+// openMux runs the opening exchange on a fresh connection and starts its
+// read loop; a failed exchange closes the connection.
+func openMux(conn net.Conn) (*MuxTransport, error) {
 	extra, err := hello(conn)
 	if err != nil {
 		conn.Close()
@@ -278,17 +297,59 @@ func (m *MuxTransport) SetCallTimeout(d time.Duration) {
 	m.writeMu.Unlock()
 }
 
+// clientReadBuffer sizes the read loop's buffer to the server→client
+// traffic: stream data arrives in writes of up to streamStageBytes, so one
+// read syscall picks up a whole staged batch of frames.
+const clientReadBuffer = streamStageBytes
+
 // readLoop is the single reader demultiplexing response frames; on any
-// read error it fails every pending call and poisons the transport.
+// read error it fails every pending call and poisons the transport. Frames
+// are read through one buffered reader, so header and body cost at most one
+// syscall and back-to-back frames share one.
 func (m *MuxTransport) readLoop() {
+	br := bufio.NewReaderSize(m.conn, clientReadBuffer)
+	var hdr [4]byte
 	for {
-		frame, err := ReadFrame(m.conn)
+		frame, pooled, err := m.readFrame(br, &hdr)
 		if err != nil {
 			m.d.failAll(fmt.Errorf("%w: %v", ErrTransportClosed, err))
 			return
 		}
-		m.d.deliver(frame)
+		if !m.d.deliver(frame) && pooled {
+			pool.Bytes.Put(frame) // the stream went away between peek and delivery
+		}
 	}
+}
+
+// readFrame reads one frame. The correlation id is peeked through the
+// buffered reader before the body is read: a frame bound for an open stream
+// lands in a pooled buffer the stream recycles (StreamChunk.Data is valid
+// only until the next Recv), while a unary response keeps an allocation its
+// caller owns for good.
+func (m *MuxTransport) readFrame(br *bufio.Reader, hdr *[4]byte) (frame []byte, pooled bool, err error) {
+	n, err := readFrameLen(br, hdr)
+	if err != nil {
+		return nil, false, err
+	}
+	if n >= 4 {
+		id, err := br.Peek(4)
+		if err != nil {
+			return nil, false, err
+		}
+		pooled = m.d.isStream(binary.BigEndian.Uint32(id))
+	}
+	if pooled {
+		frame = pool.Bytes.Get(n)
+	} else {
+		frame = make([]byte, n)
+	}
+	if _, err := io.ReadFull(br, frame); err != nil {
+		if pooled {
+			pool.Bytes.Put(frame)
+		}
+		return nil, false, err
+	}
+	return frame, pooled, nil
 }
 
 // muxPending is an in-flight call.
@@ -447,7 +508,7 @@ const maxConnInFlight = 64
 // lifetime would starve (or deadlock) batched calls. Returns when the
 // connection dies, after cancelling open streams and draining in-flight
 // handlers.
-func muxConn(conn net.Conn, tenant uint64, h *Handler, opts ServeOpts, logf func(format string, args ...any)) {
+func muxConn(conn net.Conn, br *bufio.Reader, tenant uint64, h *Handler, opts ServeOpts, logf func(format string, args ...any)) {
 	var (
 		writeMu sync.Mutex
 		wg      sync.WaitGroup
@@ -461,7 +522,7 @@ func muxConn(conn net.Conn, tenant uint64, h *Handler, opts ServeOpts, logf func
 		if opts.IdleTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(opts.IdleTimeout))
 		}
-		frame, err := readFramePooled(conn, &hdr)
+		frame, err := readFramePooled(br, &hdr)
 		if err != nil {
 			if !isCleanClose(err) {
 				logf("wire: %s: read: %v", conn.RemoteAddr(), err)

@@ -12,18 +12,25 @@ import (
 	"time"
 
 	"minos/internal/object"
+	"minos/internal/server"
 )
 
 // serveTCP starts a wire server on a loopback listener and returns its
 // address.
 func serveTCP(t testing.TB) string {
 	t.Helper()
+	return serveSrv(t, testServer(t))
+}
+
+// serveSrv serves srv on a loopback listener closed at test end.
+func serveSrv(t testing.TB, srv *server.Server) string {
+	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
-	go ServeWith(l, &Handler{Srv: testServer(t)}, ServeOpts{})
+	go ServeWith(l, &Handler{Srv: srv}, ServeOpts{})
 	return l.Addr().String()
 }
 
@@ -219,9 +226,28 @@ func TestDialMuxRejectsDamagedHelloAck(t *testing.T) {
 
 // TestServeRequiresHello: the server speaks mux framing only after a HELLO
 // for the one protocol version; any other opening frame gets an ordinary
-// error frame and a closed connection.
+// error frame and a closed connection, and the refusal is logged in plain
+// text (the log function formats printf-style: no verb may go unrendered).
 func TestServeRequiresHello(t *testing.T) {
-	addr := serveTCP(t)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	logged := make(chan string, 1)
+	go ServeWith(l, &Handler{Srv: testServer(t)}, ServeOpts{ErrorLog: func(err error) { logged <- err.Error() }})
+	addr := l.Addr().String()
+	wantLog := func(name, want string) {
+		t.Helper()
+		select {
+		case got := <-logged:
+			if !strings.Contains(got, want) || strings.Contains(got, "%!") {
+				t.Fatalf("%s: logged %q, want it to say %q", name, got, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: nothing logged", name)
+		}
+	}
 	for _, tc := range []struct {
 		name, want string
 		first      []byte
@@ -251,7 +277,16 @@ func TestServeRequiresHello(t *testing.T) {
 			t.Fatalf("%s: connection left open (read: %v)", tc.name, err)
 		}
 		conn.Close()
+		wantLog(tc.name, fmt.Sprintf("refused: first frame is not a HELLO for protocol version %d", protocolVersion))
 	}
+	// A first frame cut short is a read error, logged with its cause.
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn.Write([]byte{0, 0, 0, 9, OpHello})
+	conn.Close()
+	wantLog("truncated-hello", "read: unexpected EOF")
 }
 
 // TestHelloMidConnectionIsUnknownOp: HELLO is answered by the opening

@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -109,6 +111,10 @@ func parseStreamData(payload []byte) (off uint64, chunk []byte, err error) {
 	}
 	return binary.BigEndian.Uint64(payload), payload[8:], nil
 }
+
+// streamOpenLen is the size of a stream-open request:
+// [op u8][id u64][from u64][window u32].
+const streamOpenLen = 21
 
 // encodeStreamOpen builds a stream-open request.
 func encodeStreamOpen(op byte, id object.ID, from uint64, window int) []byte {
@@ -317,6 +323,15 @@ func (s *srvStream) take(n int) bool {
 	}
 }
 
+// wouldPark reports whether take(n) would wait for credit right now. The
+// sink asks so it can put its staged frames on the wire before parking:
+// the credit it is about to wait for is owed for exactly those frames.
+func (s *srvStream) wouldPark(n int) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return !s.cancelled && s.credit < int64(n)
+}
+
 // srvStreams is a mux connection's registry of open streams, keyed by
 // correlation id. The read loop registers a stream before spawning its
 // producer goroutine, so a credit frame racing the open can never miss.
@@ -384,60 +399,131 @@ func (r *srvStreams) cancelAll() {
 	}
 }
 
-// writeStreamFrame stages one stream frame —
+// streamStageBytes is the staging buffer a stream's data frames are batched
+// in before one Write: sized to the server→client traffic (a voice frame is
+// 4 KiB and change, so a batch is seven of them) and kept small, since a
+// unary response queued on the write lock waits out one such Write.
+const streamStageBytes = 32 << 10
+
+// appendStreamFrame appends one stream frame —
 // [length u32][id u32][status u8][dev u64][plen u32][off u64?][payload] —
-// in an exactly-sized pooled buffer and writes it under the connection's
-// write lock. The pooled staging keeps the per-chunk serve path free of
-// heap allocation.
-func writeStreamFrame(w io.Writer, writeMu *sync.Mutex, id uint32, status byte, dev time.Duration, off uint64, hasOff bool, payload []byte) error {
+// to dst.
+func appendStreamFrame(dst []byte, id uint32, status byte, dev time.Duration, off uint64, hasOff bool, payload []byte) []byte {
 	n := len(payload)
 	if hasOff {
 		n += 8
 	}
-	out := pool.Bytes.Get(8 + respHeader + n)
-	binary.BigEndian.PutUint32(out, uint32(4+respHeader+n))
-	binary.BigEndian.PutUint32(out[4:], id)
-	out[8] = status
-	binary.BigEndian.PutUint64(out[9:], uint64(dev))
-	binary.BigEndian.PutUint32(out[17:], uint32(n))
-	p := 8 + respHeader
+	dst = appendU32(dst, uint32(4+respHeader+n))
+	dst = appendU32(dst, id)
+	dst = append(dst, status)
+	dst = appendU64(dst, uint64(dev))
+	dst = appendU32(dst, uint32(n))
 	if hasOff {
-		binary.BigEndian.PutUint64(out[p:], off)
-		p += 8
+		dst = appendU64(dst, off)
 	}
-	copy(out[p:], payload)
-	writeMu.Lock()
-	_, err := w.Write(out)
-	writeMu.Unlock()
-	pool.Bytes.Put(out)
-	return err
+	return append(dst, payload...)
 }
 
+// streamFrameLen is the wire size of a stream frame with n payload bytes
+// (offset included).
+func streamFrameLen(n int) int { return 8 + respHeader + n }
+
 // muxStreamSink writes a producer's stream onto the mux connection, pacing
-// data frames by the stream's credit window.
+// data frames by the stream's credit window. Frames are staged whole in one
+// pooled buffer and go out in a single Write when the buffer fills, when the
+// producer is about to park on credit, or at stream end; the header and the
+// first data frame are written at once, so time to first audio never waits
+// for a batch. The bytes on the wire are those of one Write per frame —
+// only the Write boundaries differ.
 type muxStreamSink struct {
-	conn       net.Conn
+	w          io.Writer
 	writeMu    *sync.Mutex
 	id         uint32
 	st         *srvStream
 	sentHeader bool
+	sentData   bool
+	stage      []byte // pooled; whole frames not yet written
+}
+
+func newMuxStreamSink(w io.Writer, writeMu *sync.Mutex, id uint32, st *srvStream) *muxStreamSink {
+	return &muxStreamSink{w: w, writeMu: writeMu, id: id, st: st, stage: pool.Bytes.Get(streamStageBytes)[:0]}
+}
+
+// release returns the staging buffer to the pool, dropping anything staged.
+func (s *muxStreamSink) release() {
+	pool.Bytes.Put(s.stage)
+	s.stage = nil
+}
+
+// room makes space for an n-byte frame: what is staged goes out first if the
+// frame does not fit behind it, and a frame larger than the buffer (a big
+// miniature pass) swaps in a buffer of its own size.
+func (s *muxStreamSink) room(n int) error {
+	if len(s.stage)+n <= cap(s.stage) {
+		return nil
+	}
+	if err := s.flush(); err != nil {
+		return err
+	}
+	if n > cap(s.stage) {
+		pool.Bytes.Put(s.stage)
+		s.stage = pool.Bytes.Get(n)[:0]
+	}
+	return nil
+}
+
+// flush writes the staged frames under the connection's write lock.
+func (s *muxStreamSink) flush() error {
+	if len(s.stage) == 0 {
+		return nil
+	}
+	s.writeMu.Lock()
+	_, err := s.w.Write(s.stage)
+	s.writeMu.Unlock()
+	s.stage = s.stage[:0]
+	return err
 }
 
 func (s *muxStreamSink) Grant(n uint32) { s.st.grant(n) }
 
 func (s *muxStreamSink) Header(meta []byte, dev time.Duration) error {
 	s.sentHeader = true
-	return writeStreamFrame(s.conn, s.writeMu, s.id, statusStreamHdr, dev, 0, false, meta)
+	s.stage = appendStreamFrame(s.stage, s.id, statusStreamHdr, dev, 0, false, meta)
+	return s.flush() // the client's open is blocked on it
 }
 
 func (s *muxStreamSink) Data(off uint64, chunk []byte, dev time.Duration) error {
 	// Credit counts data payload bytes. Blocking here — not in the read
 	// loop — is the whole design: an ungranted stream parks its own
-	// goroutine while batched calls keep being served.
+	// goroutine while batched calls keep being served. Staged frames are
+	// written before parking: the client grants only for what it received.
+	if s.st.wouldPark(len(chunk)) {
+		if err := s.flush(); err != nil {
+			return err
+		}
+	}
 	if !s.st.take(len(chunk)) {
 		return errStreamCancelled
 	}
-	return writeStreamFrame(s.conn, s.writeMu, s.id, statusStreamData, dev, off, true, chunk)
+	if err := s.room(streamFrameLen(8 + len(chunk))); err != nil {
+		return err
+	}
+	s.stage = appendStreamFrame(s.stage, s.id, statusStreamData, dev, off, true, chunk)
+	if !s.sentData {
+		s.sentData = true
+		return s.flush()
+	}
+	return nil
+}
+
+// end stages the stream's end frame behind the last data frames and writes
+// the lot.
+func (s *muxStreamSink) end(payload []byte) error {
+	if err := s.room(streamFrameLen(len(payload))); err != nil {
+		return err
+	}
+	s.stage = appendStreamFrame(s.stage, s.id, statusStreamEnd, 0, 0, false, payload)
+	return s.flush()
 }
 
 // serveMuxStream runs one stream-open request to completion on its own
@@ -445,16 +531,17 @@ func (s *muxStreamSink) Data(off uint64, chunk []byte, dev time.Duration) error 
 // ordinary error response if nothing was streamed yet (so open-time
 // failures classify exactly like batch failures, busy included), or an
 // error end frame mid-stream. A cancelled stream says nothing: the client
-// already tore its state down.
+// already tore its state down, and frames still staged are dropped.
 func serveMuxStream(conn net.Conn, writeMu *sync.Mutex, id uint32, tenant uint64, h *Handler, req []byte, st *srvStream, logf func(format string, args ...any)) {
-	sink := &muxStreamSink{conn: conn, writeMu: writeMu, id: id, st: st}
+	sink := newMuxStreamSink(conn, writeMu, id, st)
+	defer sink.release()
 	err := h.ServeStreamAs(tenant, req, sink)
 	var werr error
 	switch {
 	case errors.Is(err, errStreamCancelled):
 		return
 	case err == nil:
-		werr = writeStreamFrame(conn, writeMu, id, statusStreamEnd, 0, 0, false, []byte{0})
+		werr = sink.end([]byte{0})
 	case !sink.sentHeader:
 		resp := errResp(err)
 		out := muxFrame(id, resp)
@@ -464,11 +551,7 @@ func serveMuxStream(conn net.Conn, writeMu *sync.Mutex, id uint32, tenant uint64
 		pool.Bytes.Put(out)
 		recycleResponse(resp)
 	default:
-		msg := err.Error()
-		pl := make([]byte, 1+len(msg))
-		pl[0] = 1
-		copy(pl[1:], msg)
-		werr = writeStreamFrame(conn, writeMu, id, statusStreamEnd, 0, 0, false, pl)
+		werr = sink.end(append([]byte{1}, err.Error()...))
 	}
 	if werr != nil && !errors.Is(werr, net.ErrClosed) {
 		logf("wire: %s: stream write: %v", conn.RemoteAddr(), werr)
@@ -601,10 +684,18 @@ func (c *Client) MiniatureStreamCtx(ctx context.Context, id object.ID, from uint
 
 // AppendPCMSamples decodes a voice stream chunk (little-endian 2-byte
 // samples, encodeVoicePart's layout) onto dst. A trailing odd byte is
-// ignored; the protocol keeps chunks sample-aligned.
+// ignored; the protocol keeps chunks sample-aligned. dst grows once, and the
+// samples are unpacked four to a 64-bit load.
 func AppendPCMSamples(dst []int16, b []byte) []int16 {
-	for i := 0; i+1 < len(b); i += 2 {
-		dst = append(dst, int16(binary.LittleEndian.Uint16(b[i:])))
+	at, n := len(dst), len(b)/2
+	dst = slices.Grow(dst, n)[:at+n]
+	out := dst[at:]
+	for ; len(out) >= 4; out, b = out[4:], b[8:] {
+		v := binary.LittleEndian.Uint64(b)
+		out[0], out[1], out[2], out[3] = int16(v), int16(v>>16), int16(v>>32), int16(v>>48)
+	}
+	for i := range out {
+		out[i] = int16(binary.LittleEndian.Uint16(b[2*i:]))
 	}
 	return dst
 }
@@ -616,26 +707,47 @@ var errStreamClosed = errors.New("wire: stream closed")
 
 // muxStream is the client-side state of one open stream on a MuxTransport:
 // the read loop pushes this id's frames into q, Recv pops them.
+//
+// Frame ownership: every frame pushed belongs to the stream, which recycles
+// it into pool.Bytes. A queued frame nobody has seen may be recycled by
+// whoever holds mu (Close, a push that finds the stream closed). The frame
+// behind the chunk Recv last returned (cur) is being read by the consumer:
+// only the next Recv, on the consumer's own goroutine, recycles it — a Close
+// from elsewhere drops it to the garbage collector instead.
 type muxStream struct {
 	m       *MuxTransport
 	id      uint32
 	timeout time.Duration // per-frame wait bound (the transport call timeout)
+	window  int           // the open request's credit window
+	timer   *time.Timer   // per-frame timeout, armed only when Recv must wait
 
 	mu     sync.Mutex
-	q      [][]byte
-	err    error // transport death
-	endErr error // error carried by an error end frame
-	done   bool  // end frame consumed
+	q      [][]byte // whole frames, correlation id included; q[head:] is live
+	head   int
+	cur    []byte // frame backing the last returned chunk
+	owed   int    // bytes consumed (Grant) but not yet granted to the server
+	err    error  // transport death
+	endErr error  // error carried by an error end frame
+	done   bool   // end frame consumed
 	closed bool
 	notify chan struct{}
 }
 
-// push appends one raw frame (correlation id stripped) from the read loop.
+// push hands the stream one raw frame (correlation id still in front) from
+// the read loop.
 func (s *muxStream) push(frame []byte) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
+		pool.Bytes.Put(frame)
 		return
+	}
+	if s.head > 0 && len(s.q) == cap(s.q) {
+		// Slide the live frames down rather than grow: the credit window
+		// bounds how many are ever queued.
+		n := copy(s.q, s.q[s.head:])
+		clear(s.q[n:])
+		s.q, s.head = s.q[:n], 0
 	}
 	s.q = append(s.q, frame)
 	s.mu.Unlock()
@@ -658,43 +770,91 @@ func (s *muxStream) fail(err error) {
 	}
 }
 
+// poll recycles the frame behind the previous chunk and pops the next
+// queued one (correlation id stripped; valid until the following poll).
+// wait reports an empty queue on a live stream. Before reporting it, poll
+// sends whatever credit is owed: the producer can then never be parked on
+// credit this consumer is sitting on.
+func (s *muxStream) poll() (frame []byte, wait bool, err error) {
+	for {
+		s.mu.Lock()
+		if s.cur != nil {
+			pool.Bytes.Put(s.cur)
+			s.cur = nil
+		}
+		if s.head < len(s.q) {
+			f := s.q[s.head]
+			s.q[s.head] = nil
+			s.head++
+			if s.head == len(s.q) {
+				s.q, s.head = s.q[:0], 0
+			}
+			s.cur = f
+			s.mu.Unlock()
+			return f[4:], false, nil
+		}
+		err := s.err
+		if s.closed {
+			err = errStreamClosed
+		}
+		owed := s.owed
+		s.owed = 0
+		s.mu.Unlock()
+		if err != nil {
+			return nil, false, err
+		}
+		if owed == 0 {
+			return nil, true, nil
+		}
+		s.sendCredit(owed) // a failed write poisons the stream: look again
+	}
+}
+
 // next blocks for the next queued frame, bounded by ctx and the per-frame
-// timeout.
+// timeout. The stream's one timer is armed only when there is nothing
+// queued, so a consumer that keeps up with the producer never touches it.
 func (s *muxStream) next(ctx context.Context, timeout time.Duration) ([]byte, error) {
 	var timeoutC <-chan time.Time
-	if timeout > 0 {
-		t := time.NewTimer(timeout)
-		defer t.Stop()
-		timeoutC = t.C
-	}
 	var done <-chan struct{}
 	if ctx != nil {
 		done = ctx.Done()
 	}
 	for {
-		s.mu.Lock()
-		if len(s.q) > 0 {
-			f := s.q[0]
-			s.q = s.q[1:]
-			s.mu.Unlock()
-			return f, nil
+		frame, wait, err := s.poll()
+		if !wait {
+			if timeoutC != nil {
+				stopTimer(s.timer)
+			}
+			return frame, err
 		}
-		if s.closed {
-			s.mu.Unlock()
-			return nil, errStreamClosed
+		if timeout > 0 && timeoutC == nil {
+			if s.timer == nil {
+				s.timer = time.NewTimer(timeout)
+			} else {
+				s.timer.Reset(timeout)
+			}
+			timeoutC = s.timer.C
 		}
-		if s.err != nil {
-			err := s.err
-			s.mu.Unlock()
-			return nil, err
-		}
-		s.mu.Unlock()
 		select {
 		case <-s.notify:
-		case <-timeoutC:
+		case <-timeoutC: // fired and drained: ready for the next Reset
 			return nil, fmt.Errorf("%w after %v", ErrCallTimeout, timeout)
 		case <-done:
+			if timeoutC != nil {
+				stopTimer(s.timer)
+			}
 			return nil, ctx.Err()
+		}
+	}
+}
+
+// stopTimer stops t and drains a tick that raced the stop, leaving the
+// timer ready for Reset.
+func stopTimer(t *time.Timer) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
 		}
 	}
 }
@@ -711,39 +871,39 @@ func (s *muxStream) Recv() (StreamChunk, error) {
 		return StreamChunk{}, io.EOF
 	}
 	s.mu.Unlock()
-	for {
-		frame, err := s.next(nil, s.timeout)
-		if err != nil {
-			return StreamChunk{}, err
+	frame, err := s.next(nil, s.timeout)
+	if err != nil {
+		return StreamChunk{}, err
+	}
+	status, dev, payload, perr := parseStreamFrame(frame)
+	if perr != nil {
+		return StreamChunk{}, perr
+	}
+	switch status {
+	case statusStreamData:
+		off, chunk, derr := parseStreamData(payload)
+		if derr != nil {
+			return StreamChunk{}, derr
 		}
-		status, dev, payload, perr := parseStreamFrame(frame)
-		if perr != nil {
-			return StreamChunk{}, perr
+		return StreamChunk{Offset: off, Data: chunk, Dev: dev}, nil
+	case statusStreamEnd:
+		var endErr error
+		if len(payload) >= 1 && payload[0] != 0 {
+			endErr = fmt.Errorf("wire: server: %s", payload[1:])
 		}
-		switch status {
-		case statusStreamData:
-			off, chunk, derr := parseStreamData(payload)
-			if derr != nil {
-				return StreamChunk{}, derr
-			}
-			return StreamChunk{Offset: off, Data: chunk, Dev: dev}, nil
-		case statusStreamEnd:
-			var endErr error
-			if len(payload) >= 1 && payload[0] != 0 {
-				endErr = fmt.Errorf("wire: server: %s", payload[1:])
-			}
-			s.mu.Lock()
-			s.done = true
-			s.endErr = endErr
-			s.mu.Unlock()
-			s.m.d.removeStream(s.id)
-			if endErr != nil {
-				return StreamChunk{}, endErr
-			}
-			return StreamChunk{}, io.EOF
-		default:
-			return StreamChunk{}, fmt.Errorf("wire: unexpected stream frame status %d", status)
+		s.mu.Lock()
+		s.done = true
+		s.endErr = endErr
+		pool.Bytes.Put(s.cur) // the end frame: its text is copied out above
+		s.cur = nil
+		s.mu.Unlock()
+		s.m.d.removeStream(s.id)
+		if endErr != nil {
+			return StreamChunk{}, endErr
 		}
+		return StreamChunk{}, io.EOF
+	default:
+		return StreamChunk{}, fmt.Errorf("wire: unexpected stream frame status %d", status)
 	}
 }
 
@@ -757,22 +917,35 @@ func (s *muxStream) send(msg []byte) {
 	}
 }
 
-// Grant implements StreamConn: it sends a credit frame under the stream's
-// correlation id.
+func (s *muxStream) sendCredit(n int) {
+	var msg [5]byte
+	msg[0] = OpStreamCredit
+	binary.BigEndian.PutUint32(msg[1:], uint32(min(n, math.MaxUint32)))
+	s.send(msg[:])
+}
+
+// Grant implements StreamConn. Consumed bytes accumulate and go out as one
+// credit frame once half the open's window is owed — or earlier, when Recv
+// is about to wait (see poll) — so a consumer draining a full window costs
+// two credit writes, not one per chunk.
 func (s *muxStream) Grant(n int) {
 	if n <= 0 {
 		return
 	}
 	s.mu.Lock()
-	dead := s.done || s.closed || s.err != nil
-	s.mu.Unlock()
-	if dead {
+	if s.done || s.closed || s.err != nil {
+		s.mu.Unlock()
 		return
 	}
-	var msg [5]byte
-	msg[0] = OpStreamCredit
-	binary.BigEndian.PutUint32(msg[1:], uint32(n))
-	s.send(msg[:])
+	s.owed += n
+	owed := s.owed
+	if 2*owed < s.window {
+		s.mu.Unlock()
+		return
+	}
+	s.owed = 0
+	s.mu.Unlock()
+	s.sendCredit(owed)
 }
 
 // Close implements StreamConn: the stream's demux slot is released, and if
@@ -785,7 +958,11 @@ func (s *muxStream) Close() error {
 	}
 	s.closed = true
 	sendCancel := !s.done && s.err == nil
-	s.q = nil
+	for _, f := range s.q[s.head:] {
+		pool.Bytes.Put(f)
+	}
+	s.q, s.head = nil, 0
+	s.cur = nil // the consumer may still be reading it: left to the GC
 	s.mu.Unlock()
 	select {
 	case s.notify <- struct{}{}:
@@ -812,6 +989,9 @@ func (m *MuxTransport) OpenStream(ctx context.Context, req []byte) ([]byte, time
 	}
 	id := m.nextID.Add(1)
 	st := &muxStream{m: m, id: id, notify: make(chan struct{}, 1)}
+	if len(req) >= streamOpenLen {
+		st.window = int(binary.BigEndian.Uint32(req[streamOpenLen-4:]))
+	}
 	if err := m.d.registerStream(id, st); err != nil {
 		return nil, 0, nil, err
 	}
@@ -826,6 +1006,11 @@ func (m *MuxTransport) OpenStream(ctx context.Context, req []byte) ([]byte, time
 		st.Close()
 		return nil, 0, nil, err
 	}
+	// The caller keeps what this frame carries (metadata, an error text), so
+	// it leaves the recycling scheme here.
+	st.mu.Lock()
+	st.cur = nil
+	st.mu.Unlock()
 	if len(frame) >= 1 && frame[0] == statusStreamHdr {
 		_, dev, meta, perr := parseStreamFrame(frame)
 		if perr != nil {
@@ -837,11 +1022,10 @@ func (m *MuxTransport) OpenStream(ctx context.Context, req []byte) ([]byte, time
 	// Not a stream frame: an open-time failure delivered as an ordinary
 	// response (or a protocol violation). The server already finished with
 	// this id — release the slot without cancelling.
-	s := st
-	s.mu.Lock()
-	s.done = true
-	s.mu.Unlock()
-	s.Close()
+	st.mu.Lock()
+	st.done = true
+	st.mu.Unlock()
+	st.Close()
 	payload, _, perr := parseResponse(frame)
 	if perr != nil {
 		return nil, 0, nil, perr

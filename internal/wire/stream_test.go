@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"runtime"
 	"strings"
@@ -700,19 +701,23 @@ func TestAllocStreamVoiceChunks(t *testing.T) {
 }
 
 // TestAllocMuxStreamFrameWrite guards the wire side of the chunk path:
-// staging and writing a stream data frame from the pool must not allocate
-// in steady state.
+// staging data frames in the sink's pooled buffer and writing the batches
+// out must not allocate in steady state.
 func TestAllocMuxStreamFrameWrite(t *testing.T) {
 	if pool.RaceEnabled {
 		t.Skip("sync.Pool drops entries under the race detector")
 	}
 	var mu sync.Mutex
+	st := newSrvStream()
+	st.grant(math.MaxUint32)
+	sink := newMuxStreamSink(io.Discard, &mu, 7, st)
+	defer sink.release()
 	chunk := make([]byte, StreamChunkBytes)
-	if err := writeStreamFrame(io.Discard, &mu, 7, statusStreamData, 0, 0, true, chunk); err != nil {
+	if err := sink.Data(0, chunk, 0); err != nil {
 		t.Fatal(err)
 	}
 	avg := testing.AllocsPerRun(100, func() {
-		if err := writeStreamFrame(io.Discard, &mu, 7, statusStreamData, 0, 4096, true, chunk); err != nil {
+		if err := sink.Data(4096, chunk, 0); err != nil {
 			t.Fatal(err)
 		}
 	})

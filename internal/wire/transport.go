@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -170,6 +171,10 @@ type ServeOpts struct {
 	ErrorLog func(error)
 }
 
+// serverReadBuffer sizes a served connection's read buffer to the
+// client→server traffic: requests, credits and cancels, tens of bytes each.
+const serverReadBuffer = 4096
+
 // ServeWith accepts connections on l and serves protocol requests until the
 // listener closes. Each connection runs on its own goroutine and requests
 // are handled fully in parallel: the handler's server is concurrency-safe,
@@ -217,8 +222,12 @@ func ServeWith(l net.Listener, h *Handler, opts ServeOpts) error {
 			// One tenant per connection: admission fairness tracks
 			// sessions, not individual requests.
 			tenant := h.NewTenant()
-			if acceptHello(conn, h, opts, logf) {
-				muxConn(conn, tenant, h, opts, logf)
+			// One buffered reader for the connection's life: a request or a
+			// credit frame is tens of bytes, so header and body — and a burst
+			// of pipelined frames — arrive in one read syscall.
+			br := bufio.NewReaderSize(conn, serverReadBuffer)
+			if acceptHello(conn, br, h, opts, logf) {
+				muxConn(conn, br, tenant, h, opts, logf)
 			}
 		}(conn)
 	}
@@ -228,15 +237,15 @@ func ServeWith(l net.Listener, h *Handler, opts ServeOpts) error {
 // the only lock-step frames on the wire. The first frame must be a HELLO
 // naming protocolVersion; anything else is answered with an ordinary error
 // frame and refused (false), and the caller closes the connection.
-func acceptHello(conn net.Conn, h *Handler, opts ServeOpts, logf func(format string, args ...any)) bool {
+func acceptHello(conn net.Conn, br *bufio.Reader, h *Handler, opts ServeOpts, logf func(format string, args ...any)) bool {
 	if opts.IdleTimeout > 0 {
 		conn.SetReadDeadline(time.Now().Add(opts.IdleTimeout))
 	}
 	var hdr [4]byte
-	req, err := readFramePooled(conn, &hdr)
+	req, err := readFramePooled(br, &hdr)
 	if err != nil {
 		if !isCleanClose(err) {
-			logf("wire: %s: read: %w", conn.RemoteAddr(), err)
+			logf("wire: %s: read: %v", conn.RemoteAddr(), err)
 		}
 		return false
 	}
@@ -249,7 +258,7 @@ func acceptHello(conn net.Conn, h *Handler, opts ServeOpts, logf func(format str
 	recycleResponse(resp)
 	if err != nil {
 		if !errors.Is(err, net.ErrClosed) {
-			logf("wire: %s: write: %w", conn.RemoteAddr(), err)
+			logf("wire: %s: write: %v", conn.RemoteAddr(), err)
 		}
 		return false
 	}

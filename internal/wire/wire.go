@@ -1010,12 +1010,9 @@ func WriteFrame(w io.Writer, msg []byte) error {
 // ReadFrame reads one length-prefixed message (up to 64 MiB).
 func ReadFrame(r io.Reader) ([]byte, error) {
 	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	n, err := readFrameLen(r, &hdr)
+	if err != nil {
 		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > 64<<20 {
-		return nil, fmt.Errorf("wire: oversized frame %d", n)
 	}
 	msg := make([]byte, n)
 	if _, err := io.ReadFull(r, msg); err != nil {
@@ -1024,18 +1021,27 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 	return msg, nil
 }
 
-// readFramePooled is ReadFrame with the message read into a pooled buffer
-// scratched through hdr (a per-connection [4]byte so the header read does
-// not allocate). The caller owns the frame and recycles it when done.
-func readFramePooled(r io.Reader, hdr *[4]byte) ([]byte, error) {
+// readFrameLen reads a frame's length prefix through hdr (a per-connection
+// [4]byte so the header read does not allocate) and bounds it.
+func readFrameLen(r io.Reader, hdr *[4]byte) (int, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+		return 0, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
 	if n > 64<<20 {
-		return nil, fmt.Errorf("wire: oversized frame %d", n)
+		return 0, fmt.Errorf("wire: oversized frame %d", n)
 	}
-	msg := pool.Bytes.Get(int(n))
+	return int(n), nil
+}
+
+// readFramePooled is ReadFrame with the message read into a pooled buffer.
+// The caller owns the frame and recycles it when done.
+func readFramePooled(r io.Reader, hdr *[4]byte) ([]byte, error) {
+	n, err := readFrameLen(r, hdr)
+	if err != nil {
+		return nil, err
+	}
+	msg := pool.Bytes.Get(n)
 	if _, err := io.ReadFull(r, msg); err != nil {
 		pool.Bytes.Put(msg)
 		return nil, err
