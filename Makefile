@@ -1,5 +1,5 @@
 GO ?= go
-BENCH_OUT ?= BENCH_15.json
+BENCH_OUT ?= BENCH_16.json
 
 .PHONY: all build test race bench bench-smoke bench-json bench-json-smoke bench-e2e-smoke alloc-guard fault-matrix load-smoke shard-smoke stream-smoke gate-smoke index-smoke surface fmt vet check
 
@@ -87,12 +87,13 @@ alloc-guard:
 # The tracked size numbers (ROADMAP aim 2): non-test Go lines outside the
 # benchmark and of the modelling package alone, and exported names (the
 # functions, methods, types, constants and variables `go doc -all`
-# declares) of the two packages clients program against plus the serving
-# and modelling packages.
+# declares) of the two packages clients program against, the serving and
+# modelling packages, and the content index with the two packages its
+# in-object search moved between (PR 16: core must not need index).
 surface:
 	@printf 'non-test Go lines: '; find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l
 	@printf 'non-test Go lines in internal/loadgen: '; find internal/loadgen -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
-	@for p in internal/wire internal/workstation internal/server internal/loadgen; do \
+	@for p in internal/wire internal/workstation internal/server internal/loadgen internal/index internal/core internal/text; do \
 		printf 'exported names in %s: ' $$p; \
 		$(GO) doc -all ./$$p | grep -cE '^(func|type) |^(const|var) [A-Z]|^	[A-Z][A-Za-z0-9_]*( +=|$$)'; done
 

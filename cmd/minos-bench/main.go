@@ -8,13 +8,13 @@
 //
 // Usage:
 //
-//	minos-bench [-out file] [-bench regex] [-benchtime d] [-count n]
-//	            [-load] [-load-sessions n] [-load-duration d]
-//	            [-shard] [-shard-sessions n] [-shard-duration d]
-//	            [-stream] [-stream-cells n] [-stream-seconds n]
-//	            [-gate] [-gate-sessions n] [-gate-duration d] [pkg ...]
+//	minos-bench [-out file] [-bench regex] [-benchtime d]
+//	            [-load] [-shard] [-stream] [-gate] [-index] [pkg ...]
 //
-// With -out - the report goes to stdout. The default package set covers the
+// The report goes to stdout unless -out names a file. The experiments'
+// scales and seeds are the constants below — the values every committed
+// BENCH file since BENCH_6 was produced with — so two reports differ only
+// by the code they ran. The default package set covers the
 // rasterize→encode, miniature-serve, synthesis and wire paths measured by
 // the E-ALLOC experiment, the stream layer (one spoken part over loopback
 // TCP, the PCM decode loop), plus the page-to-PNG path of a gateway view
@@ -44,6 +44,11 @@
 // browse screen (time-to-usable vs the batch miniature delivery), the
 // mid-stream replica failover resume and the per-chunk allocation guard,
 // embedded under "stream".
+//
+// With -index the report carries the E-INDEX run: the segmented content
+// index built serially and in parallel over a synthetic corpus (bit-identity
+// between the two checked), then the planned-vs-naive query battery,
+// embedded under "e_index".
 package main
 
 import (
@@ -70,6 +75,28 @@ var defaultPackages = []string{
 	"./internal/server",
 	"./internal/wire",
 }
+
+// The experiment scales. One value each: a report is comparable with the
+// committed ones only at these.
+const (
+	runSeed = 1986 // every experiment's seed
+
+	loadSessions    = 10_000
+	loadDuration    = 30 * time.Second
+	loadMaxInFlight = 64 // server admission bound
+
+	shardSessions    = 64 // saturating sessions per shard
+	shardDuration    = 20 * time.Second
+	shardMaxInFlight = 8 // per-shard admission bound
+
+	gateSessions = 120
+	gateDuration = 20 * time.Second
+	gateSlots    = 64 // fair-share step slots; the pool is sessions/8
+
+	indexDocs    = 1_000_000
+	indexQueries = 200
+	indexWorkers = 4 // parallel build width
+)
 
 // Result is one parsed benchmark line.
 type Result struct {
@@ -258,35 +285,14 @@ type Report struct {
 }
 
 func main() {
-	out := flag.String("out", "BENCH_10.json", "report file (- = stdout)")
+	out := flag.String("out", "-", "report file (- = stdout)")
 	bench := flag.String("bench", "Rasterize|Miniature|Synthesize|MuxBatched|LocalRoundTrip|VoiceStreamTCP|AppendPCMSamples|EncodePNG|BitmapOr|ScreenRender", "benchmark regex passed to go test")
 	benchtime := flag.String("benchtime", "", "go test -benchtime value (empty = default)")
-	count := flag.Int("count", 1, "go test -count value")
 	load := flag.Bool("load", false, "run the E-LOAD mass-session harness and embed its result")
-	loadSessions := flag.Int("load-sessions", 10_000, "E-LOAD fleet size")
-	loadDuration := flag.Duration("load-duration", 30*time.Second, "E-LOAD virtual duration")
-	loadMaxInFlight := flag.Int("load-maxinflight", 64, "E-LOAD server admission bound")
-	loadSeed := flag.Uint64("load-seed", 1986, "E-LOAD run seed")
 	shard := flag.Bool("shard", false, "run the E-SHARD scaling sweep and embed its result")
-	shardSessions := flag.Int("shard-sessions", 64, "E-SHARD saturating sessions per shard")
-	shardDuration := flag.Duration("shard-duration", 20*time.Second, "E-SHARD virtual duration per width")
-	shardMaxInFlight := flag.Int("shard-maxinflight", 8, "E-SHARD per-shard admission bound")
-	shardSeed := flag.Uint64("shard-seed", 1986, "E-SHARD run seed")
 	stream := flag.Bool("stream", false, "run the E-STREAM streaming-delivery experiment and embed its result")
-	streamCells := flag.Int("stream-cells", 0, "E-STREAM browse-screen miniature count (0 = default)")
-	streamSeconds := flag.Int("stream-seconds", 0, "E-STREAM minimum spoken-part seconds (0 = default)")
-	streamSeed := flag.Int("stream-seed", 1986, "E-STREAM run seed")
 	gate := flag.Bool("gate", false, "run the E-GATE gateway-tier experiment and embed its result")
-	gateSessions := flag.Int("gate-sessions", 120, "E-GATE concurrent web sessions")
-	gateDuration := flag.Duration("gate-duration", 20*time.Second, "E-GATE virtual duration")
-	gatePool := flag.Int("gate-pool", 0, "E-GATE backend pool size (0 = sessions/8)")
-	gateSlots := flag.Int("gate-slots", 64, "E-GATE fair-share step slots")
-	gateSeed := flag.Uint64("gate-seed", 1986, "E-GATE run seed")
 	indexRun := flag.Bool("index", false, "run the E-INDEX content-index experiment and embed its result")
-	indexDocs := flag.Int("index-docs", 1_000_000, "E-INDEX synthetic corpus size")
-	indexQueries := flag.Int("index-queries", 200, "E-INDEX query battery size")
-	indexWorkers := flag.Int("index-workers", 4, "E-INDEX parallel build width")
-	indexSeed := flag.Uint64("index-seed", 1986, "E-INDEX corpus seed")
 	flag.Parse()
 	pkgs := flag.Args()
 	if len(pkgs) == 0 {
@@ -295,7 +301,7 @@ func main() {
 
 	rep := Report{GoVersion: goVersion(), Bench: *bench, BenchTime: *benchtime}
 	if *load {
-		lr, err := runLoad(*loadSessions, *loadDuration, *loadMaxInFlight, *loadSeed)
+		lr, err := runLoad()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "minos-bench: load: %v\n", err)
 			os.Exit(1)
@@ -305,7 +311,7 @@ func main() {
 			lr.Sessions, lr.Steps, 100*lr.ShedRate, lr.P99Ms, lr.FairnessRatio)
 	}
 	if *shard {
-		sr, err := runShard(*shardSessions, *shardDuration, *shardMaxInFlight, *shardSeed)
+		sr, err := runShard()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "minos-bench: shard: %v\n", err)
 			os.Exit(1)
@@ -315,7 +321,7 @@ func main() {
 			sr.SpeedupAt4, sr.Failover.FailoverSteps)
 	}
 	if *gate {
-		gr, err := runGate(*gateSessions, *gateDuration, *gatePool, *gateSlots, *gateSeed)
+		gr, err := runGate()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "minos-bench: gate: %v\n", err)
 			os.Exit(1)
@@ -325,7 +331,7 @@ func main() {
 			gr.Sessions, gr.Steps, gr.StepsPerS, gr.P99Ms, gr.DirectP99Ms, gr.PNGHitRate, 100*gr.ShedRate)
 	}
 	if *indexRun {
-		ir, err := runIndex(*indexDocs, *indexQueries, *indexWorkers, *indexSeed)
+		ir, err := runIndex()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "minos-bench: index: %v\n", err)
 			os.Exit(1)
@@ -335,7 +341,7 @@ func main() {
 			ir.Docs, ir.PlannedP99Us, ir.NaiveP99Us, ir.P99Speedup, ir.ModelSpeedup, ir.Workers, ir.Deterministic, ir.AllocsPerQuery)
 	}
 	if *stream {
-		st, err := runStream(*streamCells, *streamSeconds, *streamSeed)
+		st, err := runStream()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "minos-bench: stream: %v\n", err)
 			os.Exit(1)
@@ -345,8 +351,7 @@ func main() {
 			st.TTFASpeedup, st.UsableRatio, st.FailoverOK, st.AllocsPerChunk)
 	}
 	for _, pkg := range pkgs {
-		args := []string{"test", "-run", "^$", "-bench", *bench, "-benchmem",
-			"-count", strconv.Itoa(*count)}
+		args := []string{"test", "-run", "^$", "-bench", *bench, "-benchmem"}
 		if *benchtime != "" {
 			args = append(args, "-benchtime", *benchtime)
 		}
@@ -430,27 +435,27 @@ func parseBench(pkg, out string) ([]Result, error) {
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // runLoad builds the standard E-LOAD corpus and drives one mass-session
-// run in-process (the harness is deterministic: same flags, same report).
-func runLoad(sessions int, duration time.Duration, maxInFlight int, seed uint64) (*LoadReport, error) {
+// run in-process (the harness is deterministic: same code, same report).
+func runLoad() (*LoadReport, error) {
 	srv, err := loadgen.BuildCorpus(1<<15, 60, 12)
 	if err != nil {
 		return nil, err
 	}
 	res, err := loadgen.Run(srv, loadgen.Config{
-		Sessions:    sessions,
-		Duration:    duration,
-		Seed:        seed,
-		MaxInFlight: maxInFlight,
-		HotSessions: sessions / 100,
+		Sessions:    loadSessions,
+		Duration:    loadDuration,
+		Seed:        runSeed,
+		MaxInFlight: loadMaxInFlight,
+		HotSessions: loadSessions / 100,
 	})
 	if err != nil {
 		return nil, err
 	}
 	return &LoadReport{
 		Sessions:      res.Sessions,
-		DurationMs:    ms(duration),
-		MaxInFlight:   maxInFlight,
-		Seed:          seed,
+		DurationMs:    ms(loadDuration),
+		MaxInFlight:   loadMaxInFlight,
+		Seed:          runSeed,
 		Steps:         res.Steps,
 		Offered:       res.Offered,
 		Sheds:         res.Sheds,
@@ -469,14 +474,14 @@ func runLoad(sessions int, duration time.Duration, maxInFlight int, seed uint64)
 
 // runShard sweeps the E-SHARD widths with the identical per-shard
 // configuration and a saturating hot population scaled with N, then runs
-// the 2-shard replica-failover experiment. Deterministic: same flags,
+// the 2-shard replica-failover experiment. Deterministic: same code,
 // same report.
-func runShard(perShard int, duration time.Duration, maxInFlight int, seed uint64) (*ShardReport, error) {
+func runShard() (*ShardReport, error) {
 	sr := &ShardReport{
-		SessionsPerShard: perShard,
-		DurationMs:       ms(duration),
-		MaxInFlight:      maxInFlight,
-		Seed:             seed,
+		SessionsPerShard: shardSessions,
+		DurationMs:       ms(shardDuration),
+		MaxInFlight:      shardMaxInFlight,
+		Seed:             runSeed,
 	}
 	var base float64
 	for _, n := range []int{1, 2, 4, 8} {
@@ -484,12 +489,12 @@ func runShard(perShard int, duration time.Duration, maxInFlight int, seed uint64
 		if err != nil {
 			return nil, err
 		}
-		sessions := perShard * n
+		sessions := shardSessions * n
 		res, err := loadgen.RunFleet(fleet, loadgen.Config{
 			Sessions:    sessions,
-			Duration:    duration,
-			Seed:        seed,
-			MaxInFlight: maxInFlight,
+			Duration:    shardDuration,
+			Seed:        runSeed,
+			MaxInFlight: shardMaxInFlight,
 			HotSessions: sessions,
 		})
 		if err != nil {
@@ -526,7 +531,7 @@ func runShard(perShard int, duration time.Duration, maxInFlight int, seed uint64
 	res, err := loadgen.RunFleet(fleet, loadgen.Config{
 		Sessions:    128,
 		Duration:    30 * time.Second,
-		Seed:        seed,
+		Seed:        runSeed,
 		MaxInFlight: 32,
 		FailShard:   0,
 		FailShardAt: failAt,
@@ -550,18 +555,17 @@ func runShard(perShard int, duration time.Duration, maxInFlight int, seed uint64
 
 // runGate runs the E-GATE experiment in-process: the gateway-tier run on
 // a fresh standard corpus, then the same-scale direct-client E-LOAD run as
-// baseline. Deterministic: same flags, same report.
-func runGate(sessions int, duration time.Duration, pool, slots int, seed uint64) (*GateReport, error) {
+// baseline. Deterministic: same code, same report.
+func runGate() (*GateReport, error) {
 	srv, err := loadgen.BuildCorpus(1<<15, 60, 12)
 	if err != nil {
 		return nil, err
 	}
 	res, err := loadgen.RunGate(srv, loadgen.GateConfig{
-		Sessions:  sessions,
-		Duration:  duration,
-		Seed:      seed,
-		PoolSize:  pool,
-		StepSlots: slots,
+		Sessions:  gateSessions,
+		Duration:  gateDuration,
+		Seed:      runSeed,
+		StepSlots: gateSlots,
 	})
 	if err != nil {
 		return nil, err
@@ -571,20 +575,20 @@ func runGate(sessions int, duration time.Duration, pool, slots int, seed uint64)
 		return nil, err
 	}
 	direct, err := loadgen.Run(base, loadgen.Config{
-		Sessions:    sessions,
-		Duration:    duration,
-		Seed:        seed,
-		MaxInFlight: slots,
+		Sessions:    gateSessions,
+		Duration:    gateDuration,
+		Seed:        runSeed,
+		MaxInFlight: gateSlots,
 	})
 	if err != nil {
 		return nil, err
 	}
 	return &GateReport{
 		Sessions:    res.Sessions,
-		DurationMs:  ms(duration),
+		DurationMs:  ms(gateDuration),
 		PoolSize:    res.PoolSize,
-		StepSlots:   slots,
-		Seed:        seed,
+		StepSlots:   gateSlots,
+		Seed:        runSeed,
 		Steps:       res.Steps,
 		Queries:     res.Queries,
 		Browses:     res.Browses,
@@ -608,17 +612,13 @@ func runGate(sessions int, duration time.Duration, pool, slots int, seed uint64)
 // runStream runs the E-STREAM experiment in-process. Deterministic apart
 // from the alloc guard, which measures the live heap (and reports exactly
 // zero when the steady state allocates nothing).
-func runStream(cells, seconds, seed int) (*StreamReport, error) {
-	res, err := loadgen.RunStream(loadgen.StreamConfig{
-		ScreenCells:  cells,
-		VoiceSeconds: seconds,
-		Seed:         seed,
-	})
+func runStream() (*StreamReport, error) {
+	res, err := loadgen.RunStream(loadgen.StreamConfig{Seed: runSeed})
 	if err != nil {
 		return nil, err
 	}
 	return &StreamReport{
-		Seed:              seed,
+		Seed:              runSeed,
 		VoiceSeconds:      res.VoiceSeconds,
 		VoiceBytes:        res.VoiceBytes,
 		VoiceChunks:       res.VoiceChunks,
@@ -643,12 +643,12 @@ func runStream(cells, seconds, seed int) (*StreamReport, error) {
 // runIndex runs the E-INDEX experiment in-process: serial vs parallel
 // segment builds over the synthetic corpus, the bit-identity check between
 // them, and the planned-vs-naive query battery.
-func runIndex(docs, queries, workers int, seed uint64) (*IndexReport, error) {
+func runIndex() (*IndexReport, error) {
 	res, err := loadgen.RunIndex(loadgen.IndexConfig{
-		Docs:    docs,
-		Queries: queries,
-		Workers: workers,
-		Seed:    seed,
+		Docs:    indexDocs,
+		Queries: indexQueries,
+		Workers: indexWorkers,
+		Seed:    runSeed,
 	})
 	if err != nil {
 		return nil, err
@@ -658,7 +658,7 @@ func runIndex(docs, queries, workers int, seed uint64) (*IndexReport, error) {
 		Docs:            res.Docs,
 		Queries:         res.Queries,
 		Workers:         res.Workers,
-		Seed:            seed,
+		Seed:            runSeed,
 		Postings:        res.Postings,
 		Segments:        res.Segments,
 		SegmentBytes:    res.SegmentBytes,

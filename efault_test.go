@@ -193,8 +193,22 @@ func TestEFaultResilientBrowse(t *testing.T) {
 			}
 			corpus.Server.Adopt(changed)
 			want = corpus.Server.Miniature(victim)
+			lost := client.Reconnects()
 			tl.kill()
 			tl = efaultListen(t, handler, addr)
+			// The contract is "once the transport has observed the
+			// connection's death, no pre-death miniature is served as
+			// fresh" — the strongest a client can promise without a round
+			// trip per cached step. The victim may already sit in the
+			// read-ahead cache, so wait for that observation (the counter
+			// the session polls moves on death or on a redial by the
+			// prefetcher, whichever comes first), not for a duration.
+			for deadline := time.Now().Add(5 * time.Second); client.Reconnects() == lost; {
+				if time.Now().After(deadline) {
+					t.Fatal("the client never observed the restart")
+				}
+				time.Sleep(100 * time.Microsecond)
+			}
 		}
 		t0 := time.Now()
 		st, err := sess.NextMiniatureCtx(context.Background())

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	img "minos/internal/image"
-	"minos/internal/index"
 	"minos/internal/layout"
 	"minos/internal/object"
 	"minos/internal/screen"
@@ -228,7 +227,7 @@ func (m *Manager) FindPattern(pattern string) error {
 		return m.audioFindPattern(pattern)
 	}
 	m.leaveMsgView()
-	hit := index.NextPhraseInStream(s.stream, pattern, s.pos)
+	hit := text.NextPhrase(s.stream, pattern, s.pos)
 	if hit == -1 {
 		m.trace(EvPatternMiss, pattern, "", s.pageNo)
 		return fmt.Errorf("core: pattern %q not found after position %d", pattern, s.pos)

@@ -93,11 +93,14 @@ func blockingCalls(t *testing.T, c *wire.Client, _ []byte) {
 			t.Fatalf("call %d: %d hits, want 4", i, len(ids))
 		}
 		id := object.ID(i%4 + 1)
-		m, _, err := c.MiniatureCtx(ctx, id)
+		res, _, err := c.MiniaturesCtx(ctx, []object.ID{id})
 		if err != nil {
 			t.Fatalf("call %d miniature: %v", i, err)
 		}
-		if m.PopCount() == 0 {
+		if !res[0].OK {
+			t.Fatalf("call %d: no miniature for %d", i, id)
+		}
+		if res[0].Mini.PopCount() == 0 {
 			t.Fatalf("call %d: blank miniature", i)
 		}
 		if mode, err := c.ModeCtx(ctx, id); err != nil || mode != object.Visual {

@@ -363,17 +363,3 @@ func (r Rect) Clip(bounds Rect) Rect {
 
 // Area returns the rectangle's area in pixels.
 func (r Rect) Area() int { return r.W * r.H }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -1,51 +1,44 @@
 package index
 
 import (
-	"fmt"
+	"math/rand"
 	"testing"
 
 	"minos/internal/object"
 )
 
-func benchIndex(b *testing.B, n int) (*Index, *SignatureFile) {
-	b.Helper()
-	ix := New()
-	sf := NewSignatureFile(512, 3)
-	for i := 1; i <= n; i++ {
-		src := fmt.Sprintf("document %d speaks about topic%d and shared words here.\n", i, i%13)
-		o, err := object.NewBuilder(object.ID(i), fmt.Sprintf("doc %d", i), object.Visual).Text(src).Build()
-		if err != nil {
-			b.Fatal(err)
+// memtableStore holds n testDocs, unsealed, added in the given order of i.
+func memtableStore(tb testing.TB, order []int) *Store {
+	tb.Helper()
+	s := NewStore(Config{})
+	var d Doc
+	for _, i := range order {
+		testDoc(i, &d)
+		if !s.Add(&d) {
+			tb.Fatalf("doc %d rejected", i)
 		}
-		ix.AddObject(o)
-		sf.AddObject(o)
 	}
-	return ix, sf
+	if st := s.Stats(); st.Segments != 0 || st.Docs != len(order) {
+		tb.Fatalf("store sealed or short: %+v", st)
+	}
+	return s
 }
 
-func BenchmarkInvertedQuery(b *testing.B) {
-	ix, _ := benchIndex(b, 200)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ix.Query("topic7", "shared")
-	}
-}
-
-func BenchmarkSignatureQuery(b *testing.B) {
-	_, sf := benchIndex(b, 200)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sf.Query("topic7", "shared")
-	}
-}
-
-func BenchmarkBoyerMooreScan(b *testing.B) {
-	s := ""
-	for i := 0; i < 200; i++ {
-		s += fmt.Sprintf("document %d speaks about many shared words here. ", i)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		BoyerMoore(s, "shared words")
+// BenchmarkSearchMemtableAll answers queries that match every doc of a
+// near-full memtable whose ids arrived in shuffled order: the result sort
+// is the whole cost (it was a quadratic insertion sort before PR 16).
+func BenchmarkSearchMemtableAll(b *testing.B) {
+	s := memtableStore(b, rand.New(rand.NewSource(1)).Perm(4095))
+	for name, q := range map[string]Query{
+		"attrs": {Kind: KindVisual},
+		"term":  {Terms: []string{"alpha"}},
+	} {
+		b.Run(name, func(b *testing.B) {
+			dst := make([]object.ID, 0, 4096)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				dst = s.Search(q, dst[:0])
+			}
+		})
 	}
 }

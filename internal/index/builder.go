@@ -1,7 +1,8 @@
 package index
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strings"
 
 	"minos/internal/object"
@@ -61,9 +62,8 @@ func (c Config) withDefaults() Config {
 func (c Config) sigWords() int { return (c.SigBits + 63) / 64 }
 
 // sigTermBits sets bitsPerTerm signature bits for the token — two
-// independent hashes combined (Kirsch–Mitzenmacher), shared with the
-// standalone SignatureFile so segment signatures and the E-PAT signature
-// file agree on the encoding.
+// independent hashes combined (Kirsch–Mitzenmacher). The builder sets
+// them per doc at add time; the planner sets the same bits in its probe.
 func sigTermBits(tok string, sig []uint64, bitsPerTerm int) {
 	var h1, h2 uint64 = 14695981039346656037, 5381
 	for i := 0; i < len(tok); i++ {
@@ -179,7 +179,7 @@ func (b *builder) seal() []byte {
 	for i := 0; i < n; i++ {
 		b.perm = append(b.perm, int32(i))
 	}
-	sort.Slice(b.perm, func(i, j int) bool { return b.ids[b.perm[i]] < b.ids[b.perm[j]] })
+	slices.SortFunc(b.perm, func(x, y int32) int { return cmp.Compare(b.ids[x], b.ids[y]) })
 	b.remap = b.remap[:0]
 	for range b.perm {
 		b.remap = append(b.remap, 0)
@@ -211,7 +211,7 @@ func (b *builder) seal() []byte {
 			b.nameBuf = append(b.nameBuf, name)
 		}
 	}
-	sort.Strings(b.nameBuf)
+	slices.Sort(b.nameBuf)
 	b.partsBuf = b.partsBuf[:0]
 	for _, name := range b.nameBuf {
 		ords := b.terms[name].ords
@@ -219,74 +219,18 @@ func (b *builder) seal() []byte {
 		for i, o := range ords {
 			mapped[i] = b.remap[o]
 		}
-		sortU32(mapped)
+		slices.Sort(mapped)
 		b.partsBuf = append(b.partsBuf, partTerm{name: []byte(name), ords: mapped})
 	}
 	parts.terms = b.partsBuf
 	return encodeParts(&parts, b.sigWords, b.bitsPerTerm)
 }
 
-// sortU32 is an allocation-free quicksort (insertion sort below 12) for
-// ordinal slices.
-func sortU32(a []uint32) {
-	for len(a) > 12 {
-		p := medianOfThreeU32(a)
-		lo, hi := 0, len(a)-1
-		for lo <= hi {
-			for a[lo] < p {
-				lo++
-			}
-			for a[hi] > p {
-				hi--
-			}
-			if lo <= hi {
-				a[lo], a[hi] = a[hi], a[lo]
-				lo++
-				hi--
-			}
-		}
-		if hi+1 < len(a)-lo {
-			sortU32(a[:hi+1])
-			a = a[lo:]
-		} else {
-			sortU32(a[lo:])
-			a = a[:hi+1]
-		}
-	}
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
-}
-
-func medianOfThreeU32(a []uint32) uint32 {
-	lo, mid, hi := a[0], a[len(a)/2], a[len(a)-1]
-	if lo > mid {
-		lo, mid = mid, lo
-	}
-	if mid > hi {
-		mid = hi
-	}
-	if lo > mid {
-		mid = lo
-	}
-	return mid
-}
-
-// sortIDs is sortU32 for object ids (used for memtable result emission).
-func sortIDs(a []object.ID) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
-}
-
 // DocFromObject reduces an object to its indexable Doc, appending terms to
-// d.Terms (reset to [:0] first): title and attribute words, text stream
-// words and recognized voice utterances — the same term space the legacy
-// Index uses — plus the date attribute parsed into d.Date.
+// d.Terms (reset to [:0] first): title, attribute and heading words, text
+// stream words and recognized voice utterances — one term space for both
+// media (§2) — plus the date attribute parsed into d.Date. It is the only
+// object-to-terms walk in the system.
 func DocFromObject(o *object.Object, d *Doc) {
 	d.ID = o.ID
 	d.Mode = o.Mode

@@ -1,14 +1,18 @@
 package index
 
 import (
-	"strings"
+	"fmt"
+	"slices"
 	"testing"
-	"testing/quick"
 
 	"minos/internal/object"
 	"minos/internal/text"
 	"minos/internal/voice"
 )
+
+// The object-level term-space tests: what an object contributes to the
+// index (DocFromObject) and what Store.AddObject + Search make of it, in
+// the memtable and in a sealed segment alike.
 
 func makeObject(t testing.TB, id object.ID, markup string, vocab []string) *object.Object {
 	t.Helper()
@@ -28,266 +32,326 @@ func makeObject(t testing.TB, id object.ID, markup string, vocab []string) *obje
 	return o
 }
 
-func TestQueryAND(t *testing.T) {
-	ix := New()
-	ix.AddObject(makeObject(t, 1, "the lung shadow is benign.\n", nil))
-	ix.AddObject(makeObject(t, 2, "the lung is clear today.\n", nil))
-	ix.AddObject(makeObject(t, 3, "heart rhythm is regular.\n", nil))
+// bothForms runs check against a store holding the objects unsealed (the
+// memtable answers) and against one holding them sealed (a segment does).
+func bothForms(t *testing.T, objs []*object.Object, check func(t *testing.T, s *Store)) {
+	t.Helper()
+	for _, sealed := range []bool{false, true} {
+		name := "memtable"
+		if sealed {
+			name = "sealed"
+		}
+		t.Run(name, func(t *testing.T) {
+			s := NewStore(Config{})
+			for _, o := range objs {
+				if !s.AddObject(o) {
+					t.Fatalf("object %d rejected", o.ID)
+				}
+			}
+			if sealed {
+				s.Seal()
+				if st := s.Stats(); st.Segments != 1 || st.Docs != len(objs) {
+					t.Fatalf("sealed stats = %+v", st)
+				}
+			}
+			check(t, s)
+		})
+	}
+}
 
-	if got := ix.Query("lung"); len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("Query(lung) = %v", got)
+func search(s *Store, terms ...string) []object.ID {
+	return s.Search(Query{Terms: terms}, nil)
+}
+
+func wantIDs(t *testing.T, what string, got []object.ID, want ...object.ID) {
+	t.Helper()
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s = %v, want %v", what, got, want)
 	}
-	if got := ix.Query("lung", "shadow"); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("Query(lung,shadow) = %v", got)
+}
+
+func TestQueryAND(t *testing.T) {
+	objs := []*object.Object{
+		makeObject(t, 1, "the lung shadow is benign.\n", nil),
+		makeObject(t, 2, "the lung is clear today.\n", nil),
+		makeObject(t, 3, "heart rhythm is regular.\n", nil),
 	}
-	if got := ix.Query("lung", "rhythm"); len(got) != 0 {
-		t.Fatalf("Query(disjoint) = %v", got)
-	}
-	if got := ix.Query(); got != nil {
-		t.Fatalf("empty query = %v", got)
-	}
-	if got := ix.Query("absent"); len(got) != 0 {
-		t.Fatalf("missing term = %v", got)
-	}
+	bothForms(t, objs, func(t *testing.T, s *Store) {
+		wantIDs(t, "lung", search(s, "lung"), 1, 2)
+		wantIDs(t, "lung shadow", search(s, "lung", "shadow"), 1)
+		wantIDs(t, "disjoint terms", search(s, "lung", "rhythm"))
+		wantIDs(t, "empty query", search(s))
+		wantIDs(t, "missing term", search(s, "absent"))
+	})
 }
 
 func TestQueryNormalizesTerms(t *testing.T) {
-	ix := New()
-	ix.AddObject(makeObject(t, 1, "The X-ray looks fine.\n", nil))
-	if got := ix.Query("x-ray"); len(got) != 1 {
-		t.Fatalf("Query(x-ray) = %v", got)
-	}
-	if got := ix.Query("XRAY"); len(got) != 1 {
-		t.Fatalf("Query(XRAY) = %v", got)
-	}
+	objs := []*object.Object{makeObject(t, 1, "The X-ray looks fine.\n", nil)}
+	bothForms(t, objs, func(t *testing.T, s *Store) {
+		wantIDs(t, "x-ray", search(s, "x-ray"), 1)
+		wantIDs(t, "XRAY", search(s, "XRAY"), 1)
+	})
 }
 
 func TestAddObjectIdempotent(t *testing.T) {
-	ix := New()
 	o := makeObject(t, 1, "alpha beta.\n", nil)
-	ix.AddObject(o)
-	n := len(ix.Postings("alpha"))
-	ix.AddObject(o)
-	if len(ix.Postings("alpha")) != n {
-		t.Fatal("double indexing duplicated postings")
-	}
-	if ix.Objects() != 1 {
-		t.Fatalf("Objects = %d", ix.Objects())
-	}
+	bothForms(t, []*object.Object{o}, func(t *testing.T, s *Store) {
+		before := s.Stats()
+		if s.AddObject(o) {
+			t.Fatal("second AddObject of the same id accepted")
+		}
+		if after := s.Stats(); after != before {
+			t.Fatalf("double indexing changed the store: %+v -> %+v", before, after)
+		}
+		wantIDs(t, "alpha", search(s, "alpha"), 1)
+	})
 }
 
 func TestVoiceUtterancesIndexed(t *testing.T) {
-	ix := New()
-	ix.AddObject(makeObject(t, 7, "the shadow appears benign today.\n", []string{"shadow", "benign"}))
-	ps := ix.Postings("shadow")
-	var textHits, voiceHits int
-	for _, p := range ps {
-		switch p.Media {
-		case object.MediaText:
-			textHits++
-		case object.MediaVoice:
-			voiceHits++
-		}
+	o := makeObject(t, 7, "the shadow appears benign today.\n", []string{"shadow", "benign"})
+	// A recognized utterance the text does not contain: only the voice part
+	// can make the object answer it ("same access methods as in text").
+	o.Voice[0].Utterances = append(o.Voice[0].Utterances, voice.Utterance{Token: "murmur", Offset: 1})
+	bothForms(t, []*object.Object{o}, func(t *testing.T, s *Store) {
+		wantIDs(t, "benign", search(s, "benign"), 7)
+		wantIDs(t, "voice-only token", search(s, "murmur"), 7)
+		wantIDs(t, "text and voice token", search(s, "today", "murmur"), 7)
+	})
+	// The word spoken and written is one term, posted once.
+	var d Doc
+	DocFromObject(o, &d)
+	if n := count(d.Terms, "shadow"); n != 2 {
+		t.Fatalf("shadow contributed %d times, want 2 (text and voice)", n)
 	}
-	if textHits != 1 || voiceHits != 1 {
-		t.Fatalf("shadow postings: text=%d voice=%d", textHits, voiceHits)
-	}
-	// Voice-only query still finds the object ("same access methods as
-	// in text").
-	if got := ix.Query("benign"); len(got) != 1 || got[0] != 7 {
-		t.Fatalf("Query(benign) = %v", got)
-	}
-}
-
-func TestNextPrevIn(t *testing.T) {
-	ix := New()
-	o := makeObject(t, 1, "alpha beta alpha gamma alpha.\n", nil)
-	ix.AddObject(o)
-	pos, ok := ix.NextIn(1, object.MediaText, "alpha", -1)
-	if !ok || pos != 0 {
-		t.Fatalf("first alpha at %d", pos)
-	}
-	pos, ok = ix.NextIn(1, object.MediaText, "alpha", 0)
-	if !ok || pos != 2 {
-		t.Fatalf("second alpha at %d", pos)
-	}
-	pos, ok = ix.NextIn(1, object.MediaText, "alpha", 4)
-	if ok {
-		t.Fatalf("phantom alpha at %d", pos)
-	}
-	pos, ok = ix.PrevIn(1, object.MediaText, "alpha", 4)
-	if !ok || pos != 2 {
-		t.Fatalf("PrevIn = %d", pos)
-	}
-	if _, ok = ix.PrevIn(1, object.MediaText, "alpha", 0); ok {
-		t.Fatal("PrevIn before first found something")
-	}
-}
-
-func TestNextPhrase(t *testing.T) {
-	ix := New()
-	o := makeObject(t, 1, "the small shadow is here. another small shadow appears. small print only.\n", nil)
-	ix.AddObject(o)
-	stream := o.Stream()
-	p1 := ix.NextPhrase(1, stream, "small shadow", -1)
-	if p1 == -1 || text.NormalizeToken(stream[p1].Word.Text) != "small" {
-		t.Fatalf("first phrase at %d", p1)
-	}
-	p2 := ix.NextPhrase(1, stream, "small shadow", p1)
-	if p2 <= p1 {
-		t.Fatalf("second phrase at %d", p2)
-	}
-	if p3 := ix.NextPhrase(1, stream, "small shadow", p2); p3 != -1 {
-		t.Fatalf("third phrase at %d", p3)
-	}
-	if ix.NextPhrase(1, stream, "", -1) != -1 {
-		t.Fatal("empty pattern matched")
-	}
-	// Index and linear scan agree.
-	if lin := NextPhraseInStream(stream, "small shadow", -1); lin != p1 {
-		t.Fatalf("linear scan %d vs indexed %d", lin, p1)
-	}
-	if lin := NextPhraseInStream(stream, "small shadow", p1); lin != p2 {
-		t.Fatalf("linear scan %d vs indexed %d", lin, p2)
-	}
-}
-
-func TestNextPhraseCaseAndPunct(t *testing.T) {
-	ix := New()
-	o := makeObject(t, 1, "The X-ray shows improvement.\n", nil)
-	ix.AddObject(o)
-	if p := ix.NextPhrase(1, o.Stream(), "x-ray shows", -1); p != 1 {
-		t.Fatalf("phrase at %d, want 1", p)
-	}
-}
-
-func TestBoyerMoore(t *testing.T) {
-	cases := []struct {
-		s, pat string
-		want   []int
-	}{
-		{"hello world hello", "hello", []int{0, 12}},
-		{"aaaa", "aa", []int{0, 1, 2}},
-		{"abc", "abcd", nil},
-		{"abc", "", nil},
-		{"mississippi", "issi", []int{1, 4}},
-		{"abc", "xyz", nil},
-	}
-	for _, c := range cases {
-		got := BoyerMoore(c.s, c.pat)
-		if len(got) != len(c.want) {
-			t.Errorf("BoyerMoore(%q, %q) = %v, want %v", c.s, c.pat, got, c.want)
-			continue
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Errorf("BoyerMoore(%q, %q) = %v, want %v", c.s, c.pat, got, c.want)
-			}
-		}
-	}
-}
-
-// Property: BoyerMoore agrees with strings.Index-based scanning.
-func TestQuickBoyerMooreMatchesStdlib(t *testing.T) {
-	f := func(s string, pat string) bool {
-		if len(pat) == 0 || len(pat) > len(s) {
-			return true
-		}
-		got := BoyerMoore(s, pat)
-		var want []int
-		for i := 0; i+len(pat) <= len(s); i++ {
-			if s[i:i+len(pat)] == pat {
-				want = append(want, i)
-			}
-		}
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-	cfg := &quick.Config{MaxCount: 300}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Fatal(err)
-	}
-	// Also exercise low-alphabet strings where BM shifts are stressed.
-	g := func(a, b uint8, n uint8) bool {
-		alpha := []byte{'a', 'b'}
-		s := make([]byte, int(n)%64+4)
-		x := uint32(a)<<8 | uint32(b)
-		for i := range s {
-			x = x*1664525 + 1013904223
-			s[i] = alpha[x>>16&1]
-		}
-		return f(string(s), string(alpha[a&1])+string(alpha[b&1]))
-	}
-	if err := quick.Check(g, cfg); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPostingsSorted(t *testing.T) {
-	ix := New()
-	ix.AddObject(makeObject(t, 2, "z z z.\n", nil))
-	ix.AddObject(makeObject(t, 1, "z z.\n", nil))
-	ps := ix.Postings("z")
-	if len(ps) != 5 {
-		t.Fatalf("postings = %d", len(ps))
-	}
-	for i := 1; i < len(ps); i++ {
-		if ps[i].Obj < ps[i-1].Obj {
-			t.Fatal("postings not sorted by object")
-		}
-		if ps[i].Obj == ps[i-1].Obj && ps[i].Pos <= ps[i-1].Pos {
-			t.Fatal("postings not sorted by position")
-		}
+	s := NewStore(Config{})
+	s.AddObject(o)
+	if p, distinct := s.mem.postings, len(distinctTerms(d.Terms)); p != distinct {
+		t.Fatalf("postings = %d, want one per distinct term (%d)", p, distinct)
 	}
 }
 
 func TestTermsCount(t *testing.T) {
-	ix := New()
-	ix.AddObject(makeObject(t, 1, "alpha beta alpha.\n", nil))
+	s := NewStore(Config{})
+	s.AddObject(makeObject(t, 1, "alpha beta alpha.\n", nil))
+	s.Seal()
 	// Two body tokens plus the object title token ("t").
-	if ix.Terms() != 3 {
-		t.Fatalf("Terms = %d, want 3", ix.Terms())
+	if got := s.Segments()[0].Terms(); got != 3 {
+		t.Fatalf("Terms = %d, want 3", got)
 	}
 }
 
 func TestTitlesAreQueryable(t *testing.T) {
-	ix := New()
-	ix.AddObject(makeObject(t, 1, ".title Subway Map\n.chapter Lines\nbody words only here.\n", nil))
-	if got := ix.Query("subway"); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("Query(subway) = %v", got)
+	objs := []*object.Object{
+		makeObject(t, 1, ".title Subway Map\n.chapter Lines\n.section Eastern Branch\nbody words only here.\n", nil),
 	}
-	if got := ix.Query("lines"); len(got) != 1 {
-		t.Fatalf("Query(chapter title) = %v", got)
-	}
-}
-
-func TestPhraseLongerThanStream(t *testing.T) {
-	ix := New()
-	o := makeObject(t, 1, "one two.\n", nil)
-	ix.AddObject(o)
-	long := strings.Repeat("one two ", 4)
-	if p := ix.NextPhrase(1, o.Stream(), long, -1); p != -1 {
-		t.Fatalf("overlong phrase matched at %d", p)
-	}
+	bothForms(t, objs, func(t *testing.T, s *Store) {
+		wantIDs(t, "segment title", search(s, "subway"), 1)
+		wantIDs(t, "chapter title", search(s, "lines"), 1)
+		wantIDs(t, "section title", search(s, "eastern"), 1)
+		wantIDs(t, "object title", search(s, "t"), 1)
+	})
 }
 
 func TestAttributesAreQueryable(t *testing.T) {
-	ix := New()
 	o := makeObject(t, 1, "plain body words.\n", nil)
 	o.Attrs["author"] = "Christodoulakis"
 	o.Attrs["ward"] = "radiology"
-	ix.AddObject(o)
-	if got := ix.Query("christodoulakis"); len(got) != 1 {
-		t.Fatalf("Query(author) = %v", got)
+	o.Attrs["date"] = "1986-05-28"
+	bothForms(t, []*object.Object{o}, func(t *testing.T, s *Store) {
+		wantIDs(t, "author", search(s, "christodoulakis"), 1)
+		wantIDs(t, "ward", search(s, "radiology"), 1)
+		q, err := ParseQuery("radiology kind:visual after:1986-01-01 before:1986-12-31")
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantIDs(t, "term + attribute predicates", s.Search(q, nil), 1)
+		q, _ = ParseQuery("radiology after:1987-01-01")
+		wantIDs(t, "date out of range", s.Search(q, nil))
+		q, _ = ParseQuery("radiology kind:audio")
+		wantIDs(t, "wrong mode", s.Search(q, nil))
+	})
+}
+
+func TestDocFromObject(t *testing.T) {
+	o := makeObject(t, 9, ".title Spoken Notes\n.chapter Findings\n.section Left Lung\nThe X-ray shows a shadow.\n", nil)
+	o.Title = "Case File"
+	o.Mode = object.Audio
+	o.Attrs["ward"] = "Radiology"
+	o.Attrs["date"] = "1986-05-28"
+	o.Voice = append(o.Voice, &voice.Part{Utterances: []voice.Utterance{{Token: "murmur", Offset: 40}, {Token: "", Offset: 80}}})
+
+	d := Doc{Terms: []string{"stale"}}
+	DocFromObject(o, &d)
+	wantDate, _ := ParseDate("1986-05-28")
+	if d.ID != 9 || d.Mode != object.Audio || d.Date != wantDate {
+		t.Fatalf("doc = id %d mode %v date %d", d.ID, d.Mode, d.Date)
 	}
-	if got := ix.Query("radiology"); len(got) != 1 {
-		t.Fatalf("Query(ward) = %v", got)
+	want := []string{
+		"case", "file", // object title
+		"radiology", "19860528", // attribute values
+		"spoken", "notes", "findings", "left", "lung", // segment, chapter, section titles
+		"the", "xray", "shows", "a", "shadow", // the word stream, normalized
+		"murmur", // recognized utterance; the empty token is dropped
+	}
+	if got := distinctTerms(d.Terms); !slices.Equal(got, distinctTerms(want)) {
+		t.Fatalf("terms = %v\nwant    %v", got, distinctTerms(want))
+	}
+	if len(d.Terms) != len(want) {
+		t.Fatalf("%d terms, want %d: %v", len(d.Terms), len(want), d.Terms)
+	}
+
+	// The doc is reusable: a second object replaces the first's terms, and
+	// an unparsable date reads as none.
+	p := makeObject(t, 10, "plain.\n", nil)
+	p.Attrs["date"] = "yesterday"
+	DocFromObject(p, &d)
+	if d.ID != 10 || d.Date != 0 || d.Mode != object.Visual {
+		t.Fatalf("reused doc = id %d mode %v date %d", d.ID, d.Mode, d.Date)
+	}
+	if got := distinctTerms(d.Terms); !slices.Equal(got, []string{"plain", "t", "yesterday"}) {
+		t.Fatalf("reused doc terms = %v", got)
+	}
+}
+
+func count(terms []string, tok string) int {
+	n := 0
+	for _, t := range terms {
+		if t == tok {
+			n++
+		}
+	}
+	return n
+}
+
+func distinctTerms(terms []string) []string {
+	out := slices.Clone(terms)
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// sigCorpus is 64 objects in which three terms from three different places
+// — a segment title word, a body word and a voice-only utterance — each
+// occur in half the objects, independently: object i has "spoken" in its
+// title when bit 0 of i is clear, "shadow" in its body when bit 1 is, and
+// the utterance "murmur" when bit 2 is. A conjunction of the three is
+// all-common, so the planner answers it from the signature block
+// (TestPlannerStrategyChoice has the cost argument); objects with i%8 == 0
+// are the true matches. Every object also carries a term of its own.
+func sigCorpus(t *testing.T) []*object.Object {
+	t.Helper()
+	var objs []*object.Object
+	for i := 0; i < 64; i++ {
+		title, body := "Typed Notes", "clear"
+		if i&1 == 0 {
+			title = "Spoken Notes"
+		}
+		if i&2 == 0 {
+			body = "shadow"
+		}
+		o := makeObject(t, object.ID(i+1), fmt.Sprintf(".title %s\ndocument unique%d shows a %s here.\n", title, i, body), nil)
+		if i&4 == 0 {
+			o.Voice = append(o.Voice, &voice.Part{Utterances: []voice.Utterance{{Token: "murmur", Offset: 10}}})
+		}
+		objs = append(objs, o)
+	}
+	return objs
+}
+
+var sigQuery = []string{"spoken", "shadow", "murmur"}
+
+// sigStore seals the corpus into one segment and checks the planner would
+// run the signature strategy for sigQuery on it.
+func sigStore(t *testing.T, objs []*object.Object, cfg Config) *Store {
+	t.Helper()
+	s := NewStore(cfg)
+	for _, o := range objs {
+		s.AddObject(o)
+	}
+	s.Seal()
+	p := NewSearcher().PlanFor(s.Segments()[0], Query{Terms: sigQuery})
+	if p.Strategy != StrategySignature {
+		t.Fatalf("config %+v: strategy = %v (intersect=%.0f signature=%.0f), want signature",
+			cfg, p.Strategy, p.CostIntersect, p.CostSignature)
+	}
+	return s
+}
+
+// The superimposed code admits false positives, never false negatives, and
+// verification removes the false positives: at every width — 64 bits, where
+// most rows contain the probe by accident, included — the signature
+// strategy returns exactly the objects that hold every term.
+func TestSignatureNoFalseNegatives(t *testing.T) {
+	objs := sigCorpus(t)
+	want := []object.ID{1, 9, 17, 25, 33, 41, 49, 57}
+	exact := NewStore(Config{SigBits: -1})
+	for _, o := range objs {
+		exact.AddObject(o)
+	}
+	exact.Seal()
+	wantIDs(t, "postings only", search(exact, sigQuery...), want...)
+	for _, bits := range []int{64, 0, 512} {
+		s := sigStore(t, objs, Config{SigBits: bits})
+		wantIDs(t, fmt.Sprintf("SigBits %d", bits), search(s, sigQuery...), want...)
+		wantIDs(t, fmt.Sprintf("SigBits %d naive", bits), s.SearchNaive(Query{Terms: sigQuery}), want...)
+	}
+}
+
+// The signature block is the only thing SigBits changes in a segment file:
+// docs x width, width rounded up to whole 64-bit words, 256 bits by default
+// (A-SIG reports these bytes).
+func TestSignatureSizeAccounting(t *testing.T) {
+	objs := sigCorpus(t)
+	size := func(cfg Config) int {
+		s := NewStore(cfg)
+		for _, o := range objs {
+			s.AddObject(o)
+		}
+		s.Seal()
+		return len(s.Segments()[0].Bytes())
+	}
+	bare := size(Config{SigBits: -1})
+	for _, tc := range []struct{ bits, words int }{{0, 4}, {64, 1}, {65, 2}, {512, 8}} {
+		if got, want := size(Config{SigBits: tc.bits})-bare, len(objs)*tc.words*8; got != want {
+			t.Fatalf("SigBits %d: block is %d bytes, want %d", tc.bits, got, want)
+		}
+	}
+}
+
+func TestSignatureANDQueries(t *testing.T) {
+	s := sigStore(t, sigCorpus(t), Config{})
+	// A fourth term that one true match holds narrows the conjunction to
+	// it; one that only a non-match holds empties it.
+	wantIDs(t, "narrowed", search(s, append([]string{"unique8"}, sigQuery...)...), 9)
+	wantIDs(t, "emptied", search(s, append([]string{"unique3"}, sigQuery...)...))
+	// Attribute predicates apply before the signature test.
+	wantIDs(t, "wrong mode", s.Search(Query{Terms: sigQuery, Kind: KindAudio}, nil))
+	if got := s.Search(Query{Terms: sigQuery, Kind: KindVisual}, nil); len(got) != 8 {
+		t.Fatalf("kind:visual = %v", got)
+	}
+	wantIDs(t, "no terms", search(s))
+	wantIDs(t, "punctuation only", search(s, "..."))
+}
+
+func TestSignatureIndexesVoiceAndTitles(t *testing.T) {
+	objs := sigCorpus(t)
+	s := sigStore(t, objs, Config{})
+	seg := s.Segments()[0]
+	// Each of the three term sources set its bits in the rows of the
+	// objects that have it: the probe of a single term is contained in
+	// every such row (no false negative per source).
+	for ti, tok := range sigQuery {
+		probe := make([]uint64, seg.sigWords)
+		sigTermBits(tok, probe, seg.bitsPerTerm)
+		for i := range objs {
+			if i&(1<<ti) != 0 {
+				continue
+			}
+			row := seg.sigs[i*seg.sigWords : (i+1)*seg.sigWords]
+			for w := range probe {
+				if row[w]&probe[w] != probe[w] {
+					t.Fatalf("%q missing from the signature of object %d", tok, i+1)
+				}
+			}
+		}
 	}
 }

@@ -1,8 +1,10 @@
 package index
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"minos/internal/object"
 	"minos/internal/pool"
@@ -117,16 +119,8 @@ func (g *Segment) findTerm(tok string) *termEntry {
 
 // contains reports whether the segment's doc table has the id.
 func (g *Segment) contains(id object.ID) bool {
-	lo, hi := 0, len(g.ids)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if g.ids[mid] < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(g.ids) && g.ids[lo] == id
+	_, ok := slices.BinarySearch(g.ids, id)
+	return ok
 }
 
 // cmpBytesStr compares b to s without converting either.
@@ -315,7 +309,7 @@ func encodeParts(p *segParts, sigWords, bitsPerTerm int) []byte {
 		prev := int64(-1)
 		base := len(staging)
 		for i, ord := range ords {
-			staging = appendUvarint(staging, uint64(int64(ord)-prev))
+			staging = binary.AppendUvarint(staging, uint64(int64(ord)-prev))
 			prev = int64(ord)
 			if (i+1)%skipBlock == 0 || i == len(ords)-1 {
 				skips = append(skips, ord, uint32(len(staging)-base))
@@ -359,14 +353,6 @@ func encodeParts(p *segParts, sigWords, bitsPerTerm int) []byte {
 		out = append(out, staging[staged[ti].post0:staged[ti].post1]...)
 	}
 	return out
-}
-
-func appendUvarint(b []byte, v uint64) []byte {
-	for v >= 0x80 {
-		b = append(b, byte(v)|0x80)
-		v >>= 7
-	}
-	return append(b, byte(v))
 }
 
 // ParseSegment validates a segment file and builds its in-memory views.
@@ -467,7 +453,7 @@ func ParseSegment(blob []byte) (*Segment, error) {
 		t.postLen = postLen
 		if ti > 0 {
 			prev := &g.terms[ti-1]
-			if cmpBytes(g.name(prev), g.name(t)) >= 0 {
+			if bytes.Compare(g.name(prev), g.name(t)) >= 0 {
 				return nil, fmt.Errorf("index: dictionary not strictly ascending at term %d", ti)
 			}
 		}
@@ -529,26 +515,4 @@ func (g *Segment) validatePostings(t *termEntry) error {
 		return fmt.Errorf("%d trailing posting bytes", len(data)-off)
 	}
 	return nil
-}
-
-func cmpBytes(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return 1
-	}
-	return 0
 }

@@ -1,8 +1,23 @@
+// Package index implements the server subsystem's content access method
+// (§5): one segmented index over the words of object text parts, their
+// titles and attributes, and the recognized utterances of object voice
+// parts. "The recognized voice segments are used to provide content
+// addressibility and browsing by using the same access methods as in text"
+// (§2) — DocFromObject reduces both media to one term space, which is what
+// makes content retrieval symmetric.
+//
+// Store is the only index: a memtable sealing into immutable segments
+// (segment.go) that each carry postings and a superimposed-coding signature
+// block, searched under one per-segment planner (planner.go) that answers
+// AND queries over terms combined with mode and date predicates (Query).
+// Searching inside one object — pattern browsing — needs no index and lives
+// with the media: text.NextPhrase and voice.NextUtterance.
 package index
 
 import (
+	"bytes"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -63,9 +78,8 @@ func newStoreFromSegments(cfg Config, segs []*Segment) *Store {
 }
 
 // Add indexes one doc, sealing the memtable into a segment when it reaches
-// the configured bound. It reports false when the id is already indexed
-// (matching the legacy AddObject no-op semantics). The caller keeps
-// ownership of d.
+// the configured bound. It reports false (and changes nothing) when the id
+// is already indexed. The caller keeps ownership of d.
 func (s *Store) Add(d *Doc) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -274,7 +288,7 @@ func mergeSegments(segs []*Segment, cfg Config) []byte {
 				continue
 			}
 			n := g.name(&g.terms[ti[i]])
-			if name == nil || cmpBytes(n, name) < 0 {
+			if name == nil || bytes.Compare(n, name) < 0 {
 				name = n
 			}
 		}
@@ -283,7 +297,7 @@ func mergeSegments(segs []*Segment, cfg Config) []byte {
 		}
 		count := 0
 		for i, g := range segs {
-			if ti[i] < len(g.terms) && cmpBytes(g.name(&g.terms[ti[i]]), name) == 0 {
+			if ti[i] < len(g.terms) && bytes.Compare(g.name(&g.terms[ti[i]]), name) == 0 {
 				count += int(g.terms[ti[i]].count)
 			}
 		}
@@ -292,7 +306,7 @@ func mergeSegments(segs []*Segment, cfg Config) []byte {
 		nRuns := 0
 		runSeg := make([]int, 0, len(segs))
 		for i, g := range segs {
-			if ti[i] < len(g.terms) && cmpBytes(g.name(&g.terms[ti[i]]), name) == 0 {
+			if ti[i] < len(g.terms) && bytes.Compare(g.name(&g.terms[ti[i]]), name) == 0 {
 				its[nRuns].reset(g, &g.terms[ti[i]])
 				runSeg = append(runSeg, i)
 				nRuns++
@@ -324,7 +338,7 @@ func mergeSegments(segs []*Segment, cfg Config) []byte {
 		nameCopy := append([]byte(nil), name...)
 		parts.terms = append(parts.terms, partTerm{name: nameCopy, ords: ords})
 		for i, g := range segs {
-			if ti[i] < len(g.terms) && cmpBytes(g.name(&g.terms[ti[i]]), nameCopy) == 0 {
+			if ti[i] < len(g.terms) && bytes.Compare(g.name(&g.terms[ti[i]]), nameCopy) == 0 {
 				ti[i]++
 			}
 		}
@@ -453,7 +467,7 @@ func (sc *Searcher) searchMem(b *builder, q *Query) {
 				sc.memQ = append(sc.memQ, b.ids[i])
 			}
 		}
-		sortIDs(sc.memQ)
+		slices.Sort(sc.memQ)
 		return
 	}
 	// Intersect the in-memory posting lists, rarest first.
@@ -470,7 +484,7 @@ func (sc *Searcher) searchMem(b *builder, q *Query) {
 	for _, ord := range drv {
 		all := true
 		for _, tok := range q.Terms {
-			if !containsOrd(b.terms[tok].ords, ord) {
+			if _, ok := slices.BinarySearch(b.terms[tok].ords, ord); !ok {
 				all = false
 				break
 			}
@@ -479,20 +493,7 @@ func (sc *Searcher) searchMem(b *builder, q *Query) {
 			sc.memQ = append(sc.memQ, b.ids[ord])
 		}
 	}
-	sortIDs(sc.memQ)
-}
-
-func containsOrd(a []uint32, ord uint32) bool {
-	lo, hi := 0, len(a)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if a[mid] < ord {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(a) && a[lo] == ord
+	slices.Sort(sc.memQ)
 }
 
 // mergeInto k-way-merges the per-source ascending runs recorded in
@@ -537,10 +538,10 @@ func (sc *Searcher) mergeInto(dst []object.ID) []object.ID {
 	}
 }
 
-// SearchNaive is the seed-era baseline kept for the E-INDEX A/B: it
-// materializes every term's full posting set into maps and intersects
-// them, exactly as the legacy Index.Query did — no term ordering, no skip
-// probes, no signature pre-filter. Same results, seed cost model.
+// SearchNaive is the reference evaluation kept for the E-INDEX A/B and the
+// tests: it materializes every term's full posting set into maps and
+// intersects them — no term ordering, no skip probes, no signature
+// pre-filter. Same results as Search, the seed's cost model.
 func (s *Store) SearchNaive(q Query) []object.ID {
 	sc := NewSearcher()
 	sc.normalize(&q)
@@ -607,17 +608,8 @@ func (s *Store) SearchNaive(q Query) []object.ID {
 			return true
 		}
 		for _, g := range snap.segs {
-			lo, hi := 0, len(g.ids)
-			for lo < hi {
-				mid := int(uint(lo+hi) >> 1)
-				if g.ids[mid] < id {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
-			}
-			if lo < len(g.ids) && g.ids[lo] == id {
-				return q.matchAttrs(g.modes[lo], g.dates[lo])
+			if ord, ok := slices.BinarySearch(g.ids, id); ok {
+				return q.matchAttrs(g.modes[ord], g.dates[ord])
 			}
 		}
 		if ord, ok := s.mem.byID[id]; ok {
@@ -631,6 +623,6 @@ func (s *Store) SearchNaive(q Query) []object.ID {
 			out = append(out, id)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }

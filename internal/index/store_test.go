@@ -2,6 +2,8 @@ package index
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -97,7 +99,7 @@ func TestStoreSealAndQuery(t *testing.T) {
 	}
 }
 
-// TestStoreDuplicateAdd verifies the legacy no-op semantics across the
+// TestStoreDuplicateAdd verifies the duplicate-add no-op across the
 // memtable and sealed segments.
 func TestStoreDuplicateAdd(t *testing.T) {
 	s := NewStore(Config{MemtableDocs: 8})
@@ -114,6 +116,32 @@ func TestStoreDuplicateAdd(t *testing.T) {
 	testDoc(1, &d)
 	if s.Add(&d) {
 		t.Fatal("duplicate accepted after seal")
+	}
+}
+
+// TestSearchMemtableLargeUnsorted fills the memtable to one short of its
+// seal bound with ids arriving out of order; results that cover most of it
+// must still come back ascending and equal to the reference evaluation.
+func TestSearchMemtableLargeUnsorted(t *testing.T) {
+	const n = 4095
+	descending := make([]int, n)
+	for i := range descending {
+		descending[i] = n - 1 - i
+	}
+	for name, order := range map[string][]int{
+		"descending": descending,
+		"shuffled":   rand.New(rand.NewSource(7)).Perm(n),
+	} {
+		s := memtableStore(t, order)
+		for _, q := range []Query{{Kind: KindVisual}, {Terms: []string{"alpha"}}} {
+			got := s.Search(q, nil)
+			if !slices.IsSorted(got) {
+				t.Fatalf("%s %+v: result not ascending", name, q)
+			}
+			if want := s.SearchNaive(q); !slices.Equal(got, want) || len(got) < n/2 {
+				t.Fatalf("%s %+v: got %d ids, naive %d", name, q, len(got), len(want))
+			}
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"minos/internal/descriptor"
 	img "minos/internal/image"
 	"minos/internal/object"
 )
@@ -158,7 +159,7 @@ func TestConcurrentReadsMatchSerial(t *testing.T) {
 // cache on every pass. Re-adoption rebuilds a byte-identical miniature, so
 // every reader must see exactly the serial baseline bytes — a recycled or
 // half-installed buffer would diverge. Run under -race to prove the
-// encGen/encMu protocol.
+// record swap and its atomic encoded frame.
 func TestConcurrentMiniatureEncodedChurn(t *testing.T) {
 	s := newServer(t, 4096)
 	objs := []*object.Object{
@@ -217,6 +218,78 @@ func TestConcurrentMiniatureEncodedChurn(t *testing.T) {
 	st := s.Stats()
 	if st.EncodedHits == 0 || st.EncodedMiss == 0 {
 		t.Fatalf("churn saw hits=%d miss=%d; want both nonzero", st.EncodedHits, st.EncodedMiss)
+	}
+}
+
+// TestMiniatureEncodedNeverMixesVersions re-publishes one id with two
+// different miniatures (and modes) from two writers at once, so swaps land
+// arbitrarily close together, while readers keep encoders racing them. A
+// reader may see either version, but always whole: the bytes of the mode it
+// is told. An encoder that looked the superseded record up before a swap
+// fills that orphan, never the live record.
+func TestMiniatureEncodedNeverMixesVersions(t *testing.T) {
+	s := newServer(t, 4096)
+	versions := []*object.Object{
+		docObject(t, 1, "the lung shadow is visible here today.\n"),
+		imageObject(t, 1),
+	}
+	versions[1].Mode = object.Audio // Visual = 0 = the doc, Audio = 1 = the map
+	var want [2][]byte
+	for v, o := range versions {
+		s.Adopt(o)
+		payload, err := descriptor.EncodePart(descriptor.PartBitmap, s.Miniature(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[v] = payload
+	}
+	if bytes.Equal(want[0], want[1]) {
+		t.Fatal("the two versions encode alike; the test would prove nothing")
+	}
+
+	const readers = 8
+	stop := make(chan struct{})
+	var readersWG, writersWG sync.WaitGroup
+	errc := make(chan error, readers)
+	for w := 0; w < readers; w++ {
+		readersWG.Add(1)
+		go func() {
+			defer readersWG.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				payload, mode, ok := s.MiniatureEncoded(1)
+				if !ok || mode > object.Audio || !bytes.Equal(payload, want[mode]) {
+					errc <- fmt.Errorf("reader saw ok=%v mode=%v with the other version's bytes", ok, mode)
+					return
+				}
+			}
+		}()
+	}
+	iters := raceIters(t, 400)
+	for v := range versions {
+		writersWG.Add(1)
+		go func() {
+			defer writersWG.Done()
+			for i := 0; i < iters; i++ {
+				s.Adopt(versions[v])
+			}
+		}()
+	}
+	writersWG.Wait()
+	close(stop)
+	readersWG.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatal(err)
+	}
+	// Quiescent: the last swap won, and what is served is that version.
+	payload, mode, ok := s.MiniatureEncoded(1)
+	if !ok || !bytes.Equal(payload, want[mode]) {
+		t.Fatalf("settled on ok=%v mode=%v with the other version's bytes", ok, mode)
 	}
 }
 

@@ -25,7 +25,8 @@ func waitReadAhead(t *testing.T, s *Server, want int64) {
 
 func TestReadAheadWarmsSequentialBlocks(t *testing.T) {
 	const depth = 4
-	s := newServer(t, 64, WithCache(16), WithReadAhead(depth))
+	s := newServer(t, 64, WithCache(16))
+	s.SetReadAhead(depth)
 	bs := uint64(s.Archiver().Device().BlockSize())
 
 	// A cache-miss read of block 0 should pull blocks 1..depth into the
@@ -60,7 +61,8 @@ func TestReadAheadWarmsSequentialBlocks(t *testing.T) {
 
 func TestReadAheadClampsAtDeviceEnd(t *testing.T) {
 	const blocks = 8
-	s := newServer(t, blocks, WithCache(16), WithReadAhead(16))
+	s := newServer(t, blocks, WithCache(16))
+	s.SetReadAhead(16)
 	dev := s.Archiver().Device()
 	bs := uint64(dev.BlockSize())
 
@@ -99,7 +101,8 @@ func TestReadAheadDisabledByDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2 := New(archiver.New(dev), WithCache(0), WithReadAhead(4))
+	s2 := New(archiver.New(dev), WithCache(0))
+	s2.SetReadAhead(4)
 	if _, _, err := s2.ReadPiece(0, uint64(dev.BlockSize())); err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +115,8 @@ func TestReadAheadDisabledByDefault(t *testing.T) {
 func TestReadAheadSweepRespectsSeekConcurrency(t *testing.T) {
 	// With one seek slot, a read-ahead sweep in progress must not deadlock
 	// or starve foreground reads.
-	s := newServer(t, 256, WithCache(64), WithReadAhead(32))
+	s := newServer(t, 256, WithCache(64))
+	s.SetReadAhead(32)
 	bs := uint64(s.Archiver().Device().BlockSize())
 	done := make(chan error, 8)
 	for g := 0; g < 8; g++ {

@@ -6,8 +6,11 @@
 // is piece-oriented: descriptors and byte extents, never whole objects.
 //
 // Performance concerns — "queueing delays that may be experienced when
-// several users try to access data from the same device" — are measurable
-// through the load simulation in sim.go.
+// several users try to access data from the same device" — show up here as
+// Stats.DeviceWaits / DeviceWaitNanos on the live server; the modelled
+// queueing and contention experiments (E-QUEUE, E-CONC) drive a Server from
+// internal/loadgen (loadgen.RunQueue, loadgen.RunContention). This package
+// holds only serving code.
 package server
 
 import (
@@ -54,10 +57,12 @@ type Server struct {
 	devSem *sched.Semaphore
 
 	// mu guards the serving maps below.
-	mu       sync.RWMutex
-	minis    map[object.ID]*img.Bitmap
-	modes    map[object.ID]object.Mode
-	previews map[object.ID]*voice.Part
+	mu sync.RWMutex
+	// objs holds one serving record per published object. A record is
+	// never edited in place: Adopt installs a fresh one, so a reader that
+	// looked a record up before a re-publish keeps a consistent (if
+	// superseded) view of it.
+	objs map[object.ID]*served
 	// rasters caches rasterized image parts so repeated view requests
 	// pay the device once (the raster stays on the server's magnetic
 	// disk / memory in the paper's architecture). Entries are created
@@ -65,16 +70,10 @@ type Server struct {
 	// image single-flight onto one rasterization.
 	rasters map[string]*rasterJob
 
-	// encMinis is the encoded-frame cache: the wire-ready miniature reply
-	// bytes per object, so a warm miniature request skips rasterize and
-	// encode entirely. Guarded by encMu (never held together with mu);
-	// encGen is bumped on every Adopt so a slow encoder cannot install a
-	// stale entry over an invalidation.
-	encMu    sync.RWMutex
-	encMinis map[object.ID]encodedMini
-	encGen   atomic.Int64
-	encHits  atomic.Int64
-	encMiss  atomic.Int64
+	// encHits / encMiss count MiniatureEncoded requests answered from a
+	// record's encoded frame vs. those that had to encode (or found none).
+	encHits atomic.Int64
+	encMiss atomic.Int64
 
 	// ra coordinates sequential block read-ahead: depth in blocks (0 =
 	// disabled) plus a single-sweep claim so misses cannot fan out a
@@ -103,12 +102,18 @@ type Server struct {
 	raBlocks     atomic.Int64
 }
 
-// encodedMini is one encoded-frame cache entry: the descriptor-encoded
-// miniature payload (a read-only shared slice) plus the driving mode the
-// reply framing needs.
-type encodedMini struct {
-	payload []byte
+// served is what the server keeps in memory to answer browsing requests
+// for one object. mini, mode and preview are fixed at Adopt. enc is the
+// encoded-frame cache: the wire-ready miniature payload (a read-only
+// shared slice), filled by the first MiniatureEncoded so warm requests
+// skip the encoder. Because a re-publish replaces the whole record, an
+// encoder that raced it fills the orphaned record and stale bytes never
+// reach the live one.
+type served struct {
+	mini    *img.Bitmap
 	mode    object.Mode
+	preview *voice.Part // audio-mode objects only
+	enc     atomic.Pointer[[]byte]
 }
 
 // rasterJob is a single-flight slot for one (object, image) raster: the
@@ -136,19 +141,13 @@ func WithCache(blocks int) Option {
 	}
 }
 
-// WithSeekConcurrency bounds the number of device reads in flight at once.
+// SetSeekConcurrency bounds the number of device reads in flight at once.
 // The default of 1 models the paper's single optical head; higher values
-// model device arrays or request reordering hardware.
-func WithSeekConcurrency(n int) Option {
-	return func(s *Server) { s.SetSeekConcurrency(n) }
-}
-
-// SetSeekConcurrency resizes the device seek semaphore for a server built
-// elsewhere (e.g. the demo corpus). Resizing is safe under load: growing
-// grants slots to queued readers at once, shrinking lets readers already
-// on the device drain before new ones are admitted — at no point do more
-// readers than the new bound occupy the device together with newly
-// admitted ones (see sched.Semaphore.Resize).
+// model device arrays or request reordering hardware. Resizing is safe
+// under load: growing grants slots to queued readers at once, shrinking
+// lets readers already on the device drain before new ones are admitted —
+// at no point do more readers than the new bound occupy the device
+// together with newly admitted ones (see sched.Semaphore.Resize).
 func (s *Server) SetSeekConcurrency(n int) {
 	s.devSem.Resize(n)
 }
@@ -158,18 +157,13 @@ func (s *Server) SetSeekConcurrency(n int) {
 // layer maps it to a distinct busy status and clients retry after backoff.
 var ErrBusy = errors.New("server: busy")
 
-// WithMaxInFlight bounds the number of device-bound requests admitted at
+// SetMaxInFlight bounds the number of device-bound requests admitted at
 // once. Requests beyond the bound are shed with ErrBusy rather than queued
 // without limit — under overload the server stays responsive to the cheap
 // in-memory ops (query, miniatures) a degraded client needs. Zero (the
-// default) leaves admission unbounded.
-func WithMaxInFlight(n int) Option {
-	return func(s *Server) { s.SetMaxInFlight(n) }
-}
-
-// SetMaxInFlight sets the admission bound for a server built elsewhere.
-// Safe under load: a lowered bound sheds new requests until in-flight
-// work drains below it; outstanding releases stay valid.
+// default) leaves admission unbounded. Safe under load: a lowered bound
+// sheds new requests until in-flight work drains below it; outstanding
+// releases stay valid.
 func (s *Server) SetMaxInFlight(n int) {
 	s.adm.SetMax(n)
 }
@@ -191,17 +185,12 @@ func (s *Server) AdmitAs(tenant uint64) (func(), error) {
 	return release, nil
 }
 
-// WithReadAhead enables sequential block read-ahead: after a cache-miss
+// SetReadAhead enables sequential block read-ahead: after a cache-miss
 // read, the next n blocks are pulled into the block cache behind the seek
 // semaphore, so a sequentially-browsing client finds its next extent
-// already resident. Zero disables it (the default).
-func WithReadAhead(n int) Option {
-	return func(s *Server) { s.SetReadAhead(n) }
-}
-
-// SetReadAhead sets the read-ahead depth in blocks for a server built
-// elsewhere. Safe under load: the next cache miss observes the new depth;
-// an in-flight sweep finishes at the old one.
+// already resident. Zero disables it (the default). Safe under load: the
+// next cache miss observes the new depth; an in-flight sweep finishes at
+// the old one.
 func (s *Server) SetReadAhead(n int) {
 	s.ra.SetDepth(n)
 }
@@ -210,16 +199,13 @@ func (s *Server) SetReadAhead(n int) {
 // installed and device reads are serialized (seek concurrency 1).
 func New(arch *archiver.Archiver, opts ...Option) *Server {
 	s := &Server{
-		arch:     arch,
-		store:    index.NewStore(index.Config{}),
-		cache:    NewBlockCache(256),
-		devSem:   sched.NewSemaphore(1),
-		adm:      sched.NewAdmission(0),
-		minis:    map[object.ID]*img.Bitmap{},
-		modes:    map[object.ID]object.Mode{},
-		previews: map[object.ID]*voice.Part{},
-		rasters:  map[string]*rasterJob{},
-		encMinis: map[object.ID]encodedMini{},
+		arch:    arch,
+		store:   index.NewStore(index.Config{}),
+		cache:   NewBlockCache(256),
+		devSem:  sched.NewSemaphore(1),
+		adm:     sched.NewAdmission(0),
+		objs:    map[object.ID]*served{},
+		rasters: map[string]*rasterJob{},
 	}
 	for _, o := range opts {
 		o(s)
@@ -267,30 +253,25 @@ func (s *Server) Publish(o *object.Object, shared ...archiver.SharedPart) (time.
 }
 
 // Adopt ingests an already-archived object into the serving structures:
-// content index, miniature, mode table and voice preview. Recovery paths
-// (archiver.Recover) use it to rebuild serving state from the medium.
+// the content index and the object's serving record (miniature, mode,
+// voice preview). Adopting an id again replaces its record, which is what
+// invalidates the encoded miniature. Recovery paths (archiver.Recover) use
+// it to rebuild serving state from the medium.
 func (s *Server) Adopt(o *object.Object) {
-	mini := buildMiniature(o) // pure; keep it outside the lock
+	// Pure work first; keep it outside the lock.
+	rec := &served{mini: buildMiniature(o), mode: o.Mode}
+	if o.Mode == object.Audio {
+		if vp := o.PrimaryVoice(); vp != nil {
+			rec.preview = voicePreview(vp)
+		}
+	}
 	// The content index synchronizes itself: publishes accumulate in its
 	// memtable and seal into immutable segments without touching s.mu, so
 	// queries never serialize with the serving-map update below.
 	s.store.AddObject(o)
 	s.mu.Lock()
-	s.minis[o.ID] = mini
-	s.modes[o.ID] = o.Mode
-	if o.Mode == object.Audio {
-		if vp := o.PrimaryVoice(); vp != nil {
-			s.previews[o.ID] = voicePreview(vp)
-		}
-	}
+	s.objs[o.ID] = rec
 	s.mu.Unlock()
-	// Invalidate the encoded-frame cache after the new miniature is
-	// visible; bumping encGen keeps a concurrent MiniatureEncoded from
-	// installing bytes encoded from the superseded miniature.
-	s.encMu.Lock()
-	s.encGen.Add(1)
-	delete(s.encMinis, o.ID)
-	s.encMu.Unlock()
 }
 
 // PreviewSeconds is the length of the voice preview attached to audio-mode
@@ -320,11 +301,20 @@ func voicePreview(vp *voice.Part) *voice.Part {
 	return &voice.Part{Rate: vp.Rate, Samples: vp.Samples[:n]}
 }
 
-// VoicePreview returns the voice preview of an audio-mode object, or nil.
-func (s *Server) VoicePreview(id object.ID) *voice.Part {
+// record returns the object's serving record, or nil when it is not
+// published.
+func (s *Server) record(id object.ID) *served {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.previews[id]
+	return s.objs[id]
+}
+
+// VoicePreview returns the voice preview of an audio-mode object, or nil.
+func (s *Server) VoicePreview(id object.ID) *voice.Part {
+	if r := s.record(id); r != nil {
+		return r.preview
+	}
+	return nil
 }
 
 // PublishMailed ingests a mailed object blob (received from another
@@ -694,56 +684,44 @@ func (s *Server) QueryPlanned(q index.Query) []object.ID {
 
 // Miniature returns the object's miniature, or nil.
 func (s *Server) Miniature(id object.ID) *img.Bitmap {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.minis[id]
+	if r := s.record(id); r != nil {
+		return r.mini
+	}
+	return nil
 }
 
 // MiniatureEncoded returns the wire-encoded miniature payload
 // (descriptor.EncodePart(PartBitmap, ...) bytes) and driving mode for id,
-// serving warm requests from the encoded-frame cache without touching the
-// raster or the encoder. The returned slice is shared with the cache and
-// must be treated as read-only; it stays valid across invalidation (the
-// cache drops its reference, it never recycles the bytes). ok is false when
-// the object has no miniature; mode is still reported if the object is
-// published.
+// serving warm requests from the record's encoded frame without touching
+// the raster or the encoder. The returned slice is shared with the record
+// and must be treated as read-only; it stays valid across a re-publish
+// (the old record is dropped, its bytes are never recycled). ok is false
+// when the object is not published.
 func (s *Server) MiniatureEncoded(id object.ID) ([]byte, object.Mode, bool) {
-	s.encMu.RLock()
-	e, hit := s.encMinis[id]
-	s.encMu.RUnlock()
-	if hit {
+	r := s.record(id)
+	if r == nil {
+		s.encMiss.Add(1)
+		return nil, 0, false
+	}
+	if p := r.enc.Load(); p != nil {
 		s.encHits.Add(1)
-		return e.payload, e.mode, true
+		return *p, r.mode, true
 	}
 	s.encMiss.Add(1)
-	gen := s.encGen.Load()
-	s.mu.RLock()
-	mini := s.minis[id]
-	mode := s.modes[id]
-	s.mu.RUnlock()
-	if mini == nil {
-		return nil, mode, false
-	}
-	payload, err := descriptor.EncodePart(descriptor.PartBitmap, mini)
+	payload, err := descriptor.EncodePart(descriptor.PartBitmap, r.mini)
 	if err != nil {
-		return nil, mode, false
+		return nil, r.mode, false
 	}
-	s.encMu.Lock()
-	// An Adopt since our snapshot may have replaced the miniature; its
-	// encGen bump makes this install a no-op so stale bytes never land.
-	if s.encGen.Load() == gen {
-		s.encMinis[id] = encodedMini{payload: payload, mode: mode}
-	}
-	s.encMu.Unlock()
-	return payload, mode, true
+	r.enc.Store(&payload)
+	return payload, r.mode, true
 }
 
 // Mode returns the published object's driving mode.
 func (s *Server) Mode(id object.ID) (object.Mode, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	m, ok := s.modes[id]
-	return m, ok
+	if r := s.record(id); r != nil {
+		return r.mode, true
+	}
+	return 0, false
 }
 
 // IDs lists the published objects.

@@ -11,7 +11,8 @@
 //   - flattening of a segment into a linear word stream with boundary
 //     marks, which is what pagination and symmetric browsing operate on,
 //   - logical navigation (next/previous chapter, section, paragraph,
-//     sentence, word) over the flattened stream.
+//     sentence, word) and phrase search (NextPhrase) over the flattened
+//     stream.
 package text
 
 import (
@@ -277,6 +278,39 @@ func CurrentStart(stream []FlatWord, at int, u Unit) int {
 		}
 	}
 	return -1
+}
+
+// NextPhrase returns the first word index > from at which the pattern's
+// normalized tokens occur consecutively in the stream, or -1 if there is
+// none (or the pattern holds no token). This is the text half of pattern
+// browsing (§2), symmetric with voice.NextUtterance.
+func NextPhrase(stream []FlatWord, pattern string, from int) int {
+	var toks []string
+	for _, f := range strings.Fields(pattern) {
+		if t := NormalizeToken(f); t != "" {
+			toks = append(toks, t)
+		}
+	}
+	if len(toks) == 0 {
+		return -1
+	}
+	for i := max(from+1, 0); i+len(toks) <= len(stream); i++ {
+		if phraseAt(stream[i:], toks) {
+			return i
+		}
+	}
+	return -1
+}
+
+// phraseAt reports whether the stream opens with the tokens; the caller
+// guarantees len(stream) >= len(toks).
+func phraseAt(stream []FlatWord, toks []string) bool {
+	for k, tok := range toks {
+		if NormalizeToken(stream[k].Word.Text) != tok {
+			return false
+		}
+	}
+	return true
 }
 
 // UnitsIdentified reports which logical unit levels are present in the

@@ -219,6 +219,63 @@ func TestCurrentStart(t *testing.T) {
 	}
 }
 
+func TestNextPhrase(t *testing.T) {
+	stream := Flatten(mustParse(t, "the small shadow is here. another small shadow appears. small print only.\n"))
+	p1 := NextPhrase(stream, "small shadow", -1)
+	if p1 != 1 {
+		t.Fatalf("first phrase at %d, want 1", p1)
+	}
+	p2 := NextPhrase(stream, "small shadow", p1)
+	if p2 != 6 {
+		t.Fatalf("second phrase at %d, want 6", p2)
+	}
+	if p3 := NextPhrase(stream, "small shadow", p2); p3 != -1 {
+		t.Fatalf("third phrase at %d", p3)
+	}
+	// The search is strictly after from, so a hit is never returned twice,
+	// and any from before the stream starts at its first word.
+	if p := NextPhrase(stream, "the small", -1); p != 0 {
+		t.Fatalf("phrase at the first word found at %d", p)
+	}
+	if p := NextPhrase(stream, "the small", -7); p != 0 {
+		t.Fatalf("from = -7: phrase at %d, want 0", p)
+	}
+	if p := NextPhrase(stream, "the small", 0); p != -1 {
+		t.Fatalf("phrase at from returned again (%d)", p)
+	}
+	if p := NextPhrase(stream, "print only", len(stream)); p != -1 {
+		t.Fatalf("from past the end matched at %d", p)
+	}
+	if p := NextPhrase(stream, "print only", -1); p != len(stream)-2 {
+		t.Fatalf("phrase ending the stream at %d, want %d", p, len(stream)-2)
+	}
+	for _, empty := range []string{"", "   ", "... --"} {
+		if p := NextPhrase(stream, empty, -1); p != -1 {
+			t.Fatalf("pattern %q with no token matched at %d", empty, p)
+		}
+	}
+}
+
+func TestNextPhraseCaseAndPunct(t *testing.T) {
+	stream := Flatten(mustParse(t, "The X-ray shows improvement.\n"))
+	if p := NextPhrase(stream, "x-ray shows", -1); p != 1 {
+		t.Fatalf("phrase at %d, want 1", p)
+	}
+	if p := NextPhrase(stream, "XRAY, Shows!", -1); p != 1 {
+		t.Fatalf("normalized pattern at %d, want 1", p)
+	}
+}
+
+func TestPhraseLongerThanStream(t *testing.T) {
+	stream := Flatten(mustParse(t, "one two.\n"))
+	if p := NextPhrase(stream, strings.Repeat("one two ", 4), -1); p != -1 {
+		t.Fatalf("overlong phrase matched at %d", p)
+	}
+	if p := NextPhrase(nil, "one", -1); p != -1 {
+		t.Fatalf("empty stream matched at %d", p)
+	}
+}
+
 func TestUnitsIdentified(t *testing.T) {
 	seg := mustParse(t, sampleDoc)
 	units := UnitsIdentified(Flatten(seg))

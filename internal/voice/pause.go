@@ -216,17 +216,3 @@ func RewindTarget(pauses []Pause, pos int, long bool, n int) int {
 	}
 	return backs[n-1]
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -47,13 +47,13 @@ func TestAllocMiniatureServeWarm(t *testing.T) {
 	}
 	h := &Handler{Srv: testServer(t)}
 	req := encodeMiniaturesReq([]object.ID{1, 2, 3})
-	resp := h.Handle(req) // warm: build miniatures, fill the encoded cache
+	resp := h.HandleAs(0, req) // warm: build miniatures, fill the encoded cache
 	if resp[0] != statusOK {
 		t.Fatalf("warmup response status %d", resp[0])
 	}
 	recycleResponse(resp)
 	avg := testing.AllocsPerRun(100, func() {
-		recycleResponse(h.Handle(req))
+		recycleResponse(h.HandleAs(0, req))
 	})
 	if avg > 0 {
 		t.Fatalf("warm miniature serve allocates %.1f objects/run, want 0", avg)

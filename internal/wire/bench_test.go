@@ -94,13 +94,13 @@ func BenchmarkServePieceReads8ClientsParallel(b *testing.B) {
 func BenchmarkMiniatureServeWarm(b *testing.B) {
 	h := &Handler{Srv: testServer(b)}
 	req := encodeMiniaturesReq([]object.ID{1, 2, 3})
-	if resp := h.Handle(req); resp[0] != statusOK {
+	if resp := h.HandleAs(0, req); resp[0] != statusOK {
 		b.Fatalf("warmup response status %d", resp[0])
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		resp := h.Handle(req)
+		resp := h.HandleAs(0, req)
 		if resp[0] != statusOK {
 			b.Fatal("bad response")
 		}

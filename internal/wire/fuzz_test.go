@@ -69,7 +69,7 @@ func FuzzHandleRequest(f *testing.F) {
 
 	h := fuzzHandler(f)
 	f.Fuzz(func(t *testing.T, req []byte) {
-		resp := h.Handle(req)
+		resp := h.HandleAs(0, req)
 		if len(resp) == 0 {
 			t.Fatalf("empty response for request %v", req)
 		}
@@ -129,7 +129,7 @@ func (s *staticTransport) Close() error                     { return nil }
 // decoders (status/duration/payload framing, id lists, stats): a hostile
 // or corrupt server must produce errors, not panics or huge allocations.
 func FuzzClientResponse(f *testing.F) {
-	f.Add(okResp(0, encodeIDs(nil)))
+	f.Add(okResp(0, appendU32(nil, 0)))
 	f.Add(okResp(0, appendU64(appendU32(nil, 2), 7))) // count 2, one id
 	f.Add(okResp(0, appendU32(nil, 0xffffffff)))      // 4 G ids claimed
 	f.Add(errResp(errShort))

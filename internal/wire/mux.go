@@ -220,6 +220,10 @@ type MuxTransport struct {
 	writeMu sync.Mutex
 	d       *demux
 	nextID  atomic.Uint32
+
+	// dead is set by the read loop when the connection ends — the one
+	// place a FIN or RST is seen with no call in flight.
+	dead atomic.Bool
 }
 
 // DialMux connects to a wire server and opens the connection with a HELLO.
@@ -312,6 +316,7 @@ func (m *MuxTransport) readLoop() {
 	for {
 		frame, pooled, err := m.readFrame(br, &hdr)
 		if err != nil {
+			m.dead.Store(true)
 			m.d.failAll(fmt.Errorf("%w: %v", ErrTransportClosed, err))
 			return
 		}
@@ -490,6 +495,10 @@ func (m *MuxTransport) PendingCalls() int { return m.d.pendingLen() }
 // Close implements Transport; pending calls fail with ErrTransportClosed.
 func (m *MuxTransport) Close() error { return m.conn.Close() }
 
+// connDead reports whether the read loop has seen the connection end.
+// Client.Reconnects finds it through wrappers (see transportDead).
+func (m *MuxTransport) connDead() bool { return m.dead.Load() }
+
 // --- server side ---
 
 // maxConnInFlight bounds concurrently-served requests per connection;
@@ -569,7 +578,7 @@ func muxConn(conn net.Conn, br *bufio.Reader, tenant uint64, h *Handler, opts Se
 			defer wg.Done()
 			defer func() { <-sem }()
 			resp := h.HandleAs(tenant, frame[4:])
-			pool.Bytes.Put(frame) // Handle copies what it keeps
+			pool.Bytes.Put(frame) // HandleAs copies what it keeps
 			out := muxFrame(id, resp)
 			writeMu.Lock()
 			_, werr := conn.Write(out)

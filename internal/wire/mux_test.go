@@ -92,7 +92,7 @@ func TestMuxConcurrentInFlight(t *testing.T) {
 						return
 					}
 				default:
-					m, _, err := c.MiniatureCtx(context.Background(), 3)
+					m, _, err := miniatureOf(c, 3)
 					if err == nil && m.PopCount() == 0 {
 						err = fmt.Errorf("blank miniature")
 					}
@@ -221,6 +221,85 @@ func TestDialMuxRejectsDamagedHelloAck(t *testing.T) {
 	}
 	if dials != len(damagedHelloAcks)+1 || c.Reconnects() != 1 {
 		t.Fatalf("%d dials, %d reconnects; want %d and 1", dials, c.Reconnects(), len(damagedHelloAcks)+1)
+	}
+}
+
+// tapListener hands every accepted connection to the test as well, so the
+// test can end it from the server's side.
+type tapListener struct {
+	net.Listener
+	accepted chan net.Conn
+}
+
+func (l *tapListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.accepted <- c
+	}
+	return c, err
+}
+
+// wrappedTransport decorates a transport the way faults.Transport does: by
+// field, reachable through Unwrap.
+type wrappedTransport struct{ Transport }
+
+func (w wrappedTransport) Unwrap() Transport { return w.Transport }
+
+// TestReconnectsCountsObservedDeath: the counter a session polls moves when
+// the read loop sees the connection end — with no call in flight and before
+// any redial — also through a decorator, and the redial that follows does
+// not count the same loss twice.
+func TestReconnectsCountsObservedDeath(t *testing.T) {
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := &tapListener{Listener: inner, accepted: make(chan net.Conn, 4)}
+	defer l.Close()
+	go ServeWith(l, &Handler{Srv: testServer(t)}, ServeOpts{})
+	dials := 0
+	dial := func() (Transport, error) {
+		dials++
+		tp, err := DialMux(l.Addr().String())
+		if err != nil {
+			return nil, err
+		}
+		return wrappedTransport{tp}, nil
+	}
+	tp, err := dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewClient(tp)
+	defer c.Close()
+	c.EnableReconnect(dial)
+	if _, _, err := c.ListCtx(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if n := c.Reconnects(); n != 0 {
+		t.Fatalf("healthy connection: Reconnects = %d", n)
+	}
+
+	(<-l.accepted).Close() // the server goes away; the client is idle
+	for deadline := time.Now().Add(5 * time.Second); c.Reconnects() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("connection death never moved the counter")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	if dials != 1 || c.Reconnects() != 1 {
+		t.Fatalf("after the death: %d dials, Reconnects = %d; want the first dial only and 1", dials, c.Reconnects())
+	}
+
+	if ids, _, err := c.ListCtx(context.Background()); err != nil || len(ids) != 3 {
+		t.Fatalf("List across the redial = %v, %v", ids, err)
+	}
+	if dials != 2 || c.Reconnects() != 1 {
+		t.Fatalf("after the redial: %d dials, Reconnects = %d; want 2 and still 1", dials, c.Reconnects())
+	}
+
+	if n := NewClient(&LocalTransport{H: &Handler{Srv: testServer(t)}}).Reconnects(); n != 0 {
+		t.Fatalf("in-process transport: Reconnects = %d", n)
 	}
 }
 
@@ -551,7 +630,7 @@ func TestMiniaturesBatch(t *testing.T) {
 	}
 
 	// The batch must agree with the single-miniature call bit for bit.
-	single, _, err := c.MiniatureCtx(context.Background(), 3)
+	single, _, err := miniatureOf(c, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -607,13 +686,13 @@ func BenchmarkMuxConcurrentMiniatures(b *testing.B) {
 	}
 	c := NewClient(tp)
 	defer c.Close()
-	if _, _, err := c.MiniatureCtx(context.Background(), 3); err != nil { // warm the block cache
+	if _, _, err := miniatureOf(c, 3); err != nil { // warm the block cache
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, _, err := c.MiniatureCtx(context.Background(), 3); err != nil {
+			if _, _, err := miniatureOf(c, 3); err != nil {
 				b.Fatal(err)
 			}
 		}

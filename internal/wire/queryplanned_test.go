@@ -80,7 +80,7 @@ func TestQueryPlannedRejectsHostileRequests(t *testing.T) {
 	// Truncations of a valid request must all error, never panic.
 	valid := encodeQueryPlannedReq(index.Query{Terms: []string{"lung", "shadow"}, Kind: index.KindAudio})
 	for n := 0; n < len(valid); n++ {
-		resp := h.Handle(valid[:n])
+		resp := h.HandleAs(0, valid[:n])
 		if len(resp) == 0 || resp[0] != statusErr {
 			t.Fatalf("truncated request len %d accepted", n)
 		}
@@ -90,7 +90,7 @@ func TestQueryPlannedRejectsHostileRequests(t *testing.T) {
 	req = appendU32(req, 0)
 	req = appendU32(req, 0)
 	req = appendU32(req, MaxQueryTerms+1)
-	if resp := h.Handle(req); resp[0] != statusErr || !strings.Contains(string(resp[respHeader:]), "exceeds") {
+	if resp := h.HandleAs(0, req); resp[0] != statusErr || !strings.Contains(string(resp[respHeader:]), "exceeds") {
 		t.Fatalf("oversized conjunction accepted: %q", resp)
 	}
 	// Unknown kind byte.
@@ -98,7 +98,7 @@ func TestQueryPlannedRejectsHostileRequests(t *testing.T) {
 	req = appendU32(req, 0)
 	req = appendU32(req, 0)
 	req = appendU32(req, 0)
-	if resp := h.Handle(req); resp[0] != statusErr {
+	if resp := h.HandleAs(0, req); resp[0] != statusErr {
 		t.Fatal("bad kind accepted")
 	}
 }

@@ -83,7 +83,7 @@ func TestServeConcurrentConnections(t *testing.T) {
 						return
 					}
 				case 1:
-					m, _, err := c.MiniatureCtx(context.Background(), 3)
+					m, _, err := miniatureOf(c, 3)
 					if err != nil {
 						errc <- err
 						return
@@ -165,7 +165,7 @@ func TestServeConcurrentConnections(t *testing.T) {
 func TestConcurrentPooledResponses(t *testing.T) {
 	h := &Handler{Srv: testServer(t)}
 	req := encodeMiniaturesReq([]object.ID{1, 2, 3})
-	first := h.Handle(req)
+	first := h.HandleAs(0, req)
 	if first[0] != statusOK {
 		t.Fatalf("baseline response status %d", first[0])
 	}
@@ -181,7 +181,7 @@ func TestConcurrentPooledResponses(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				resp := h.Handle(req)
+				resp := h.HandleAs(0, req)
 				if !bytes.Equal(resp, base) {
 					errc <- fmt.Errorf("worker %d: pooled response diverged from serial baseline", w)
 					return

@@ -191,10 +191,40 @@ func (c *Client) EnableReconnect(redial func() (Transport, error)) {
 	c.mu.Unlock()
 }
 
-// Reconnects returns the number of times the client has replaced its
-// transport. Sessions watch this to re-synchronize state (result sets,
-// prefetch generations) that a server restart may have invalidated.
-func (c *Client) Reconnects() int64 { return c.reconnects.Load() }
+// Reconnects is a monotone counter of connection loss: the number of times
+// the client has replaced its transport, plus one while the current
+// transport is known dead. Sessions watch it to re-synchronize state
+// (result sets, prefetch generations) that a server restart may have
+// invalidated. Counting the death, not only the later redial, is what lets
+// a session that is being served from its read-ahead cache — and so makes
+// no call that would redial — learn of a restart: the mux read loop sees
+// the connection end with nothing in flight. Once the transport has
+// observed the death, the counter has moved.
+func (c *Client) Reconnects() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := c.reconnects
+	if transportDead(c.t) {
+		n++
+	}
+	return n
+}
+
+// transportDead reports whether t, or the transport a decorator such as
+// faults.Transport wraps, has seen its connection end. Transports without
+// a connection of their own (LocalTransport) are never dead.
+func transportDead(t Transport) bool {
+	for {
+		if d, ok := t.(interface{ connDead() bool }); ok {
+			return d.connDead()
+		}
+		u, ok := t.(interface{ Unwrap() Transport })
+		if !ok {
+			return false
+		}
+		t = u.Unwrap()
+	}
+}
 
 // Transport returns the client's current transport (it changes across
 // reconnects).
@@ -230,8 +260,8 @@ func (c *Client) reconnect(old Transport) error {
 		return nil
 	}
 	c.t = nt
+	c.reconnects++
 	c.mu.Unlock()
 	old.Close()
-	c.reconnects.Add(1)
 	return nil
 }

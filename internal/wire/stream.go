@@ -142,12 +142,6 @@ type StreamSink interface {
 	Data(off uint64, chunk []byte, dev time.Duration) error
 }
 
-// ServeStream serves one stream-open request on behalf of the anonymous
-// tenant.
-func (h *Handler) ServeStream(req []byte, sink StreamSink) error {
-	return h.ServeStreamAs(0, req, sink)
-}
-
 // ServeStreamAs parses a stream-open request and runs the producer against
 // sink, attributed to tenant. A nil return means the stream completed (the
 // caller sends the clean end frame); an error before the header is an

@@ -129,7 +129,7 @@ func TestVoiceStreamOverMux(t *testing.T) {
 	}
 	// Batched calls share the connection mid-stream unharmed — and nothing
 	// leaks after the clean end.
-	if _, _, err := c.MiniatureCtx(context.Background(), 3); err != nil {
+	if _, _, err := miniatureOf(c, 3); err != nil {
 		t.Fatalf("batched call after stream: %v", err)
 	}
 	if n := tp.OpenStreams(); n != 0 {
@@ -223,7 +223,7 @@ func TestMiniatureStreamOverMux(t *testing.T) {
 	}
 	c := NewClient(tp)
 	defer c.Close()
-	want, _, err := c.MiniatureCtx(context.Background(), 3)
+	want, _, err := miniatureOf(c, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -574,7 +574,7 @@ func TestStreamCancelRaceWithBatches(t *testing.T) {
 	}
 	c := NewClient(tp)
 	defer c.Close()
-	if _, _, err := c.MiniatureCtx(context.Background(), 3); err != nil { // settle the connection
+	if _, _, err := miniatureOf(c, 3); err != nil { // settle the connection
 		t.Fatal(err)
 	}
 	baseline := runtime.NumGoroutine()

@@ -534,7 +534,7 @@ func TestStreamTeardownWithStagedFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer settle.Close()
-	if _, _, err := NewClient(settle).MiniatureCtx(context.Background(), 3); err != nil {
+	if _, _, err := miniatureOf(NewClient(settle), 3); err != nil {
 		t.Fatal(err)
 	}
 	baseline := runtime.NumGoroutine()
@@ -559,7 +559,7 @@ func TestStreamTeardownWithStagedFrames(t *testing.T) {
 		}
 		if i%2 == 0 {
 			sc.Close() // cancel: the producer drops what it staged
-			if _, _, err := c.MiniatureCtx(context.Background(), 3); err != nil {
+			if _, _, err := miniatureOf(c, 3); err != nil {
 				t.Fatalf("iter %d: call after cancel: %v", i, err)
 			}
 			if n := tp.OpenStreams(); n != 0 {

@@ -217,11 +217,6 @@ type Handler struct {
 // admission fairness is per session, not per request.
 func (h *Handler) NewTenant() uint64 { return h.tenants.Add(1) }
 
-// Handle processes one request message on behalf of the anonymous tenant
-// and returns the response message. Connection-serving paths use HandleAs
-// with a per-connection tenant instead.
-func (h *Handler) Handle(req []byte) []byte { return h.HandleAs(0, req) }
-
 // HandleAs processes one request message attributed to tenant and returns
 // the response message.
 func (h *Handler) HandleAs(tenant uint64, req []byte) []byte {
@@ -491,14 +486,6 @@ func decodeStatsTagged(payload []byte) (server.Stats, error) {
 	return st, nil
 }
 
-func encodeIDs(ids []object.ID) []byte {
-	out := appendU32(nil, uint32(len(ids)))
-	for _, id := range ids {
-		out = appendU64(out, uint64(id))
-	}
-	return out
-}
-
 // idsResp builds an OK response carrying an id list directly in a pooled
 // buffer sized exactly, skipping the intermediate payload slice.
 func idsResp(ids []object.ID) []byte {
@@ -513,7 +500,7 @@ func idsResp(ids []object.ID) []byte {
 // Responses are built in pooled buffers: newResp reserves the fixed header,
 // the handler appends the payload, finishResp patches the header in place.
 //
-// Ownership rule: Handle's return value may be pool-backed. The TCP serve
+// Ownership rule: HandleAs's return value may be pool-backed. The TCP serve
 // loop (muxConn) recycles it after the frame is written;
 // LocalTransport hands it to the in-process client, which retains payload
 // sub-slices, so it must never recycle. Anything that is not provably the
@@ -535,7 +522,7 @@ func finishResp(out []byte, status byte, dur time.Duration) []byte {
 	return out
 }
 
-// recycleResponse hands a Handle response back to the buffer pool. Only the
+// recycleResponse hands a HandleAs response back to the buffer pool. Only the
 // last holder — a serve loop that has finished writing the frame and kept no
 // sub-slice — may call it; calling it is always optional.
 func recycleResponse(resp []byte) { pool.Bytes.Put(resp) }
@@ -574,7 +561,9 @@ type Client struct {
 	// calls neither contends on a global lock nor allocates rand state.
 	jitter *BackoffRand
 
-	reconnects atomic.Int64
+	// reconnects counts transport replacements; guarded by mu with t, so
+	// Reconnects reads the pair consistently.
+	reconnects int64
 }
 
 // NewClient wraps a transport.
@@ -743,19 +732,6 @@ func (c *Client) ObjectPieceCtx(ctx context.Context, _ object.ID, off, length ui
 	return c.ReadPieceCtx(ctx, off, length)
 }
 
-// MiniatureCtx fetches an object miniature: a batch of one on the
-// OpMiniatures path.
-func (c *Client) MiniatureCtx(ctx context.Context, id object.ID) (*img.Bitmap, time.Duration, error) {
-	res, dur, err := c.MiniaturesCtx(ctx, []object.ID{id})
-	if err != nil {
-		return nil, dur, err
-	}
-	if !res[0].OK {
-		return nil, dur, fmt.Errorf("wire: no miniature for object %d", id)
-	}
-	return res[0].Mini, dur, nil
-}
-
 // MiniatureResult is one entry of a batched miniature fetch.
 type MiniatureResult struct {
 	ID object.ID
@@ -915,8 +891,8 @@ func (c *Client) ListCtx(ctx context.Context) ([]object.ID, time.Duration, error
 	return ids, dur, err
 }
 
-// ModeCtx returns an object's driving mode. Like MiniatureCtx it is a batch
-// of one on the OpMiniatures path, which ships modes alongside miniatures.
+// ModeCtx returns an object's driving mode: a batch of one on the
+// OpMiniatures path, which ships modes alongside miniatures.
 // Every adopted object carries a miniature, so a batch entry with OK=false
 // means the object is unknown.
 func (c *Client) ModeCtx(ctx context.Context, id object.ID) (object.Mode, error) {

@@ -2,8 +2,8 @@ package wire
 
 import (
 	"context"
+	"fmt"
 	"net"
-	"strings"
 	"testing"
 	"time"
 
@@ -15,6 +15,18 @@ import (
 	"minos/internal/text"
 	"minos/internal/voice"
 )
+
+// miniatureOf fetches one miniature as a batch of one.
+func miniatureOf(c *Client, id object.ID) (*img.Bitmap, time.Duration, error) {
+	res, dur, err := c.MiniaturesCtx(context.Background(), []object.ID{id})
+	if err != nil {
+		return nil, dur, err
+	}
+	if !res[0].OK {
+		return nil, dur, fmt.Errorf("no miniature for object %d", id)
+	}
+	return res[0].Mini, dur, nil
+}
 
 func testServer(t testing.TB) *server.Server {
 	t.Helper()
@@ -97,15 +109,17 @@ func TestDescriptorAndPiecesOverWire(t *testing.T) {
 
 func TestMiniatureOverWire(t *testing.T) {
 	c, _ := localClient(t)
-	m, _, err := c.MiniatureCtx(context.Background(), 3)
+	m, _, err := miniatureOf(c, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.PopCount() == 0 {
 		t.Fatal("blank miniature")
 	}
-	if _, _, err := c.MiniatureCtx(context.Background(), 42); err == nil || !strings.Contains(err.Error(), "miniature") {
-		t.Fatalf("missing miniature err = %v", err)
+	// An unknown id is not an error: its batch entry says so.
+	res, _, err := c.MiniaturesCtx(context.Background(), []object.ID{3, 42})
+	if err != nil || len(res) != 2 || !res[0].OK || res[1].OK || res[1].Mini != nil {
+		t.Fatalf("batch with an unknown id = %+v, %v", res, err)
 	}
 }
 
@@ -152,7 +166,7 @@ func TestLinkAccounting(t *testing.T) {
 func TestMalformedRequests(t *testing.T) {
 	h := &Handler{Srv: testServer(t)}
 	for _, req := range [][]byte{nil, {99}, {OpDescriptor, 1, 2}, {OpQueryPlanned, 0, 0, 0}} {
-		resp := h.Handle(req)
+		resp := h.HandleAs(0, req)
 		if len(resp) == 0 || resp[0] != statusErr {
 			t.Fatalf("malformed request %v accepted: %v", req, resp)
 		}

@@ -67,9 +67,10 @@ type Backend interface {
 	// aggregate across shard primaries).
 	StatsCtx(ctx context.Context) (server.Stats, error)
 
-	// Reconnects is a monotone counter that moves whenever a serving
-	// connection was re-established. The session watches it to decide
-	// when a restarted server may have invalidated cached browse state.
+	// Reconnects is a counter that moves whenever a serving connection
+	// was seen to die or was re-established. The session watches it to
+	// decide when a restarted server may have invalidated cached browse
+	// state.
 	Reconnects() int64
 
 	// Close releases the backend's connections.
