@@ -1,7 +1,7 @@
 GO ?= go
 BENCH_OUT ?= BENCH_16.json
 
-.PHONY: all build test race bench bench-smoke bench-json bench-json-smoke bench-e2e-smoke alloc-guard fault-matrix load-smoke shard-smoke stream-smoke gate-smoke index-smoke surface fmt vet check
+.PHONY: all build test race bench bench-smoke bench-json bench-json-smoke bench-e2e-smoke bench-e2e-run alloc-guard fault-matrix load-smoke shard-smoke stream-smoke gate-smoke index-smoke surface fmt vet check
 
 all: build
 
@@ -79,6 +79,20 @@ bench-json-smoke:
 bench-e2e-smoke:
 	cd bench/e2e && $(GO) vet . && $(GO) test -short .
 
+# The benchmark as BENCHMARK.json runs it: `bash bench/run.sh` builds bench/e2e
+# from this checkout and runs one workload. Every workload for 1 s untraced,
+# then query-planned traced; each run must exit 0 and end with a summary
+# line reporting "correct":true. (bench-e2e-smoke compiles and unit-tests
+# the benchmark; only this target runs it end to end.)
+BENCH_E2E_WORKLOADS = browse-warm browse-cold open-view query-planned publish-browse voice-stream
+
+bench-e2e-run:
+	@for run in $(addsuffix :0,$(BENCH_E2E_WORKLOADS)) query-planned:1; do \
+		w=$${run%:*}; tr=$${run#*:}; echo "bench-e2e-run: $$w --trace $$tr"; \
+		out="$$(bash bench/run.sh --workload $$w --seed 1 --seconds 1 --trace $$tr)" || { echo "$$out"; exit 1; }; \
+		echo "$$out" | tail -n 1 | grep -q '"correct":true' || { echo "$$out"; exit 1; }; \
+	done
+
 # Steady-state allocation guards (testing.AllocsPerRun); skipped under
 # -race, where the runtime deliberately drops sync.Pool entries.
 alloc-guard:
@@ -104,4 +118,4 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-check: fmt vet build test race fault-matrix bench-smoke alloc-guard bench-json-smoke bench-e2e-smoke load-smoke shard-smoke stream-smoke gate-smoke index-smoke
+check: fmt vet build test race fault-matrix bench-smoke alloc-guard bench-json-smoke bench-e2e-smoke bench-e2e-run load-smoke shard-smoke stream-smoke gate-smoke index-smoke

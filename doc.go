@@ -18,7 +18,7 @@
 //	op  name              meaning
 //	 2  OpDescriptor      fetch an object's presentation descriptor
 //	 3  OpReadPiece       read (offset, length) of the archive
-//	 5  OpList            list the archive's object ids
+//	 5  OpList            list the archive's object ids (packed id list)
 //	 7  OpImageView       server-side image zoom/clip
 //	 8  OpVoicePreview    voice preview (page-sized prefix)
 //	 9  OpStats           server statistics snapshot
@@ -31,9 +31,11 @@
 //	15  OpStreamCredit    grant flow-control credit to a stream
 //	16  OpStreamCancel    cancel an open stream
 //	17  OpQueryPlanned    content query (AND terms + kind/date
-//	                      predicates) → sorted ids
+//	                      predicates) → packed id list
 //
-// Stream frame layout, credit rules and failover-resume semantics are
+// A packed id list is [count u32][uvarint first][uvarint gap ≥ 1]...: the
+// ids ascending, delta-coded (DESIGN.md §3). Stream frame layout, credit
+// rules and failover-resume semantics are
 // specified in DESIGN.md §10; the planned-query grammar, segment format
 // and planner cost model in DESIGN.md §12.
 //

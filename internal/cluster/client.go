@@ -560,36 +560,31 @@ func (c *Client) miniaturesOnce(ctx context.Context, ids []object.ID, want []int
 // the id sets ascending — the partitioned corpus makes per-shard results
 // disjoint, so the merge equals the single-server result exactly.
 func (c *Client) QueryCtx(ctx context.Context, terms ...string) ([]object.ID, time.Duration, error) {
-	return c.gatherIDs(ctx, func(wc *wire.Client) ([]object.ID, time.Duration, error) {
-		return wc.QueryCtx(ctx, terms...)
-	})
+	return c.gatherIDs(ctx, &index.Query{Terms: terms})
 }
 
 // QueryPlannedCtx scatters a planned content query — conjunctive terms plus
 // attribute predicates — to every shard in parallel, where each shard's
 // planner evaluates it against the local segments, and gathers the sorted
-// per-shard id streams into one ascending result. Shards are reached through
+// per-shard id lists into one ascending result. Shards are reached through
 // onShard, so a dead primary fails over to its replicas like every other op
 // (the WORM content index is identical on a replica, so a failed-over answer
 // equals the primary's).
 func (c *Client) QueryPlannedCtx(ctx context.Context, q index.Query) ([]object.ID, time.Duration, error) {
-	return c.gatherIDs(ctx, func(wc *wire.Client) ([]object.ID, time.Duration, error) {
-		return wc.QueryPlannedCtx(ctx, q)
-	})
+	return c.gatherIDs(ctx, &q)
 }
 
 // ListCtx returns all published object ids across the fleet, ascending.
 func (c *Client) ListCtx(ctx context.Context) ([]object.ID, time.Duration, error) {
-	return c.gatherIDs(ctx, func(wc *wire.Client) ([]object.ID, time.Duration, error) {
-		return wc.ListCtx(ctx)
-	})
+	return c.gatherIDs(ctx, nil)
 }
 
-// gatherIDs fans call out to every shard and merges the per-shard id
-// streams. Each shard answers in ascending order (both the content index
-// and the archiver directory are sorted), so the gather is a k-way merge of
-// sorted streams, not a global re-sort.
-func (c *Client) gatherIDs(ctx context.Context, call func(*wire.Client) ([]object.ID, time.Duration, error)) ([]object.ID, time.Duration, error) {
+// gatherIDs fans an id-list call (wire.Client.IDListCtx: q, or the whole
+// directory for a nil q) out to every shard and merges the answers. Each
+// shard's list arrives packed and ascending and stays in its response frame
+// until wire.MergeIDLists decodes all of them at once into the result: the
+// only id-sized allocation of the gather.
+func (c *Client) gatherIDs(ctx context.Context, q *index.Query) ([]object.ID, time.Duration, error) {
 	m, _ := c.topo()
 	var (
 		wg       sync.WaitGroup
@@ -597,16 +592,16 @@ func (c *Client) gatherIDs(ctx context.Context, call func(*wire.Client) ([]objec
 		firstErr error
 		maxDur   time.Duration
 	)
-	parts := make([][]object.ID, len(m.Shards))
+	lists := make([]wire.IDList, len(m.Shards))
 	for i, sh := range m.Shards {
 		wg.Add(1)
 		go func(slot, shard int) {
 			defer wg.Done()
-			var ids []object.ID
+			var l wire.IDList
 			var dur time.Duration
 			err := c.onShard(ctx, m, shard, func(wc *wire.Client) error {
 				var e error
-				ids, dur, e = call(wc)
+				l, dur, e = wc.IDListCtx(ctx, q)
 				return e
 			})
 			mu.Lock()
@@ -620,59 +615,14 @@ func (c *Client) gatherIDs(ctx context.Context, call func(*wire.Client) ([]objec
 			if dur > maxDur {
 				maxDur = dur
 			}
-			parts[slot] = ids
+			lists[slot] = l
 		}(i, sh.ID)
 	}
 	wg.Wait()
 	if firstErr != nil {
 		return nil, maxDur, firstErr
 	}
-	return mergeSortedIDs(parts), maxDur, nil
-}
-
-// mergeSortedIDs merges ascending id streams into one ascending slice,
-// deduplicating equal heads (shards partition the corpus, so duplicates
-// only appear if two streams overlap — e.g. a re-published object caught
-// on both sides of a resharding).
-func mergeSortedIDs(parts [][]object.ID) []object.ID {
-	total, live := 0, 0
-	for _, p := range parts {
-		total += len(p)
-		if len(p) > 0 {
-			live++
-		}
-	}
-	if total == 0 {
-		return nil
-	}
-	out := make([]object.ID, 0, total)
-	if live == 1 {
-		for _, p := range parts {
-			if len(p) > 0 {
-				return append(out, p...)
-			}
-		}
-	}
-	heads := make([]int, len(parts))
-	for {
-		best := -1
-		var min object.ID
-		for i, p := range parts {
-			if heads[i] >= len(p) {
-				continue
-			}
-			if v := p[heads[i]]; best < 0 || v < min {
-				best, min = i, v
-			}
-		}
-		if best < 0 {
-			return out
-		}
-		if len(out) == 0 || out[len(out)-1] != min {
-			out = append(out, min)
-		}
-		heads[best]++
-	}
+	return wire.MergeIDLists(lists...), maxDur, nil
 }
 
 // StatsCtx aggregates the request/cache/contention counters across every

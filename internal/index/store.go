@@ -505,6 +505,7 @@ func (sc *Searcher) mergeInto(dst []object.ID) []object.ID {
 	if n == 0 {
 		return dst
 	}
+	dst = slices.Grow(dst, len(sc.arena)) // an upper bound: dedup only shrinks it
 	if n == 1 {
 		return append(dst, sc.arena[sc.bounds[0]:sc.bounds[1]]...)
 	}

@@ -339,6 +339,37 @@ func TestAllocSearchWarm(t *testing.T) {
 	}
 }
 
+// TestAllocSearchNilDstOnce: a nil dst — Server.QueryPlanned's — is grown
+// once, to the merge's upper bound, not an append at a time, however many
+// sources the k-way merge reads.
+func TestAllocSearchNilDstOnce(t *testing.T) {
+	if pool.RaceEnabled {
+		t.Skip("sync.Pool drops entries under the race detector")
+	}
+	store, _, err := BuildStore(2000, testDoc, Config{MemtableDocs: 256}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var d Doc
+	for i := 2000; i < 2100; i++ {
+		testDoc(i, &d)
+		store.Add(&d)
+	}
+	if st := store.Stats(); st.Segments < 2 || st.Docs != 2100 {
+		t.Fatalf("store shape %+v, want >= 2 segments and a non-empty memtable", st)
+	}
+	q := Query{Terms: []string{"alpha"}} // every doc: a run from every source
+	if got := store.Search(q, nil); len(got) != 2100 {
+		t.Fatalf("Search = %d ids, want 2100", len(got))
+	}
+	avg := testing.AllocsPerRun(20, func() {
+		_ = store.Search(q, nil)
+	})
+	if avg != 1 {
+		t.Fatalf("Search with a nil dst allocates %.2f objects/run, want exactly 1", avg)
+	}
+}
+
 // TestMergeSegmentsPreservesSignatures checks merged segments still serve
 // the signature strategy (rows are copied, not recomputed).
 func TestMergeSegmentsPreservesSignatures(t *testing.T) {

@@ -35,6 +35,9 @@ type goldenRuns struct {
 // rules became one (kernel.go percentile), which moves a p95 by at most one
 // rank of the sorted sample. Gate.Hub.ViewEncodes/ViewReuses are counters
 // added later (PR 14); their values date from that PR.
+// Gate as a whole was regenerated when id lists were packed: E-GATE bills
+// link time from the bytes on the modelled link, and query answers shrank
+// (testdata/README.md).
 func TestGoldenAcrossCommits(t *testing.T) {
 	raw, err := os.ReadFile("testdata/golden.json")
 	if err != nil {

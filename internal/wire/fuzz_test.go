@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"minos/internal/index"
+	"minos/internal/object"
 )
 
 // fuzzHandler is built once per fuzz process: the server is
@@ -66,6 +67,10 @@ func FuzzHandleRequest(f *testing.F) {
 	f.Add(batchReq)
 	f.Add(appendU32([]byte{OpMiniatures}, 0xffffffff)) // 4 G miniatures claimed
 	f.Add(appendU32([]byte{OpMiniatures}, 2))          // count 2, zero ids
+	// Packed id lists where a request is due: id-list bytes are answers,
+	// never requests, and must be refused or ignored as such.
+	f.Add(append([]byte{OpList}, appendIDList(nil, []object.ID{1, 2, 300})...))
+	f.Add(append([]byte{OpQueryPlanned}, appendIDList(nil, []object.ID{0, 1 << 40})...))
 
 	h := fuzzHandler(f)
 	f.Fuzz(func(t *testing.T, req []byte) {
@@ -122,8 +127,12 @@ func FuzzFrameRoundTrip(f *testing.F) {
 // staticTransport returns one canned response to any request.
 type staticTransport struct{ resp []byte }
 
-func (s *staticTransport) RoundTrip([]byte) ([]byte, error) { return s.resp, nil }
-func (s *staticTransport) Close() error                     { return nil }
+// RoundTrip hands over a copy: the caller owns, and may recycle, what it
+// is given.
+func (s *staticTransport) RoundTrip([]byte) ([]byte, error) {
+	return append([]byte(nil), s.resp...), nil
+}
+func (s *staticTransport) Close() error { return nil }
 
 // FuzzClientResponse feeds arbitrary response bytes to the client-side
 // decoders (status/duration/payload framing, id lists, stats): a hostile
@@ -132,12 +141,16 @@ func FuzzClientResponse(f *testing.F) {
 	f.Add(okResp(0, appendU32(nil, 0)))
 	f.Add(okResp(0, appendU64(appendU32(nil, 2), 7))) // count 2, one id
 	f.Add(okResp(0, appendU32(nil, 0xffffffff)))      // 4 G ids claimed
+	f.Add(okResp(0, appendIDList(nil, []object.ID{0, 1, 300, 1 << 40})))
+	f.Add(okResp(0, append(appendU32(nil, 3), 5, 0, 1)))                                                       // zero gap
+	f.Add(okResp(0, append(appendU32(nil, 2), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 1))) // overflow
 	f.Add(errResp(errShort))
 	f.Add([]byte{})
 	f.Add([]byte{statusOK})
 	f.Fuzz(func(t *testing.T, resp []byte) {
 		c := NewClient(&staticTransport{resp: resp})
 		c.ListCtx(context.Background())    // id-list decoding
+		c.QueryCtx(context.Background())   // the same, on the query path
 		c.StatsCtx(context.Background())   // stats decoding
 		c.ModeCtx(context.Background(), 1) // fixed-size payload decoding
 	})

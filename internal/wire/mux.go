@@ -22,8 +22,9 @@ import (
 // lets the browse prefetch pipeline overlap delivery with viewing instead
 // of paying a full link round trip per cursor step. One correlation id may
 // also carry a server-push stream: a whole sequence of frames under
-// credit-based flow control (see stream.go).
-const protocolVersion = 3
+// credit-based flow control (see stream.go). Version 4 packs id lists
+// (idlist.go); a version 3 peer would misread them, so it fails the HELLO.
+const protocolVersion = 4
 
 // Errors surfaced by pipelined calls.
 var (

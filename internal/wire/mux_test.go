@@ -172,7 +172,8 @@ var damagedHelloAcks = []struct {
 	{"error-frame", func(c net.Conn) { WriteFrame(c, errResp(errors.New("wire: unknown op 10"))) }},
 	{"cut-mid-frame", func(c net.Conn) { c.Write([]byte{0, 0, 0, 17, statusOK, 0, 0}) }},
 	{"short-payload", func(c net.Conn) { WriteFrame(c, okResp(0, []byte{0, 0})) }},
-	{"other-version", func(c net.Conn) { WriteFrame(c, okResp(0, appendU32(nil, protocolVersion-1))) }},
+	// A stale server: version 3 framed id lists at 8 bytes an id.
+	{"other-version", func(c net.Conn) { WriteFrame(c, okResp(0, appendU32(nil, 3))) }},
 }
 
 // TestDialMuxRejectsDamagedHelloAck: a HELLO that is not acknowledged
@@ -196,7 +197,7 @@ func TestDialMuxRejectsDamagedHelloAck(t *testing.T) {
 			tp.Close()
 			t.Fatalf("%s: DialMux accepted the ack", tc.name)
 		}
-		if !NeedsReconnect(err) || !IsRetryable(err) {
+		if !errors.Is(err, ErrTransportClosed) || !NeedsReconnect(err) || !IsRetryable(err) {
 			t.Fatalf("%s: %v classified reconnect=%v retryable=%v", tc.name, err, NeedsReconnect(err), IsRetryable(err))
 		}
 	}
@@ -335,7 +336,9 @@ func TestServeRequiresHello(t *testing.T) {
 		{"mux-framed-request", "must open with HELLO", append(appendU32(nil, 1), OpList)},
 		{"short-hello", "must open with HELLO", []byte{OpHello, 0, 0}},
 		{"older-version", "unsupported protocol version 2", appendU32([]byte{OpHello}, 2)},
-		{"newer-version", "unsupported protocol version 4", appendU32([]byte{OpHello}, 4)},
+		// Version 3 framed id lists at 8 bytes an id: a stale peer is refused.
+		{"stale-version", "unsupported protocol version 3", appendU32([]byte{OpHello}, 3)},
+		{"newer-version", "unsupported protocol version 5", appendU32([]byte{OpHello}, 5)},
 	} {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {

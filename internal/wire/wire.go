@@ -20,6 +20,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"minos/internal/descriptor"
 	img "minos/internal/image"
@@ -36,8 +37,9 @@ import (
 const (
 	OpDescriptor = 2
 	OpReadPiece  = 3
-	OpList       = 5
-	OpImageView  = 7
+	// OpList answers every published id as a packed id list (idlist.go).
+	OpList      = 5
+	OpImageView = 7
 	// OpVoicePreview ships a whole voice preview in one frame, capped at a
 	// page-sized prefix (see server.voicePreview). The workstation plays it
 	// as an audio-mode miniature passes through the screen; whole parts go
@@ -60,7 +62,7 @@ const (
 	// attribute predicates (media kind, date range) pushed down to the
 	// server's segmented index, where the planner picks the evaluation
 	// strategy per segment. Request: [kind u8][dateFrom u32][dateTo u32]
-	// [n u32][term strings].
+	// [n u32][term strings]; response: a packed id list (idlist.go).
 	OpQueryPlanned = 17
 )
 
@@ -100,6 +102,8 @@ var errShort = ErrShort
 
 // Transport carries one request/response exchange.
 type Transport interface {
+	// RoundTrip hands the response over to the caller, which owns it from
+	// then on (MergeIDLists recycles id-list responses into the pool).
 	RoundTrip(req []byte) (resp []byte, err error)
 	// Close releases the transport.
 	Close() error
@@ -201,6 +205,22 @@ func (c *cursor) str() (string, error) {
 	return s, nil
 }
 
+// strView is str without the copy: the string shares the message's bytes,
+// so it is valid only while the message is and must not be kept past the
+// request that carried it.
+func (c *cursor) strView() (string, error) {
+	n, err := c.u32()
+	if err != nil {
+		return "", err
+	}
+	if c.pos+int(n) > len(c.data) {
+		return "", errShort
+	}
+	b := c.data[c.pos : c.pos+int(n)]
+	c.pos += int(n)
+	return unsafe.String(unsafe.SliceData(b), len(b)), nil
+}
+
 func (c *cursor) rest() []byte { return c.data[c.pos:] }
 
 // Handler serves protocol requests against a server.
@@ -261,16 +281,21 @@ func (h *Handler) HandleAs(tenant uint64, req []byte) []byte {
 		if n > MaxQueryTerms {
 			return errResp(fmt.Errorf("wire: query of %d terms exceeds %d", n, MaxQueryTerms))
 		}
-		q := index.Query{Kind: index.KindFilter(kind), DateFrom: from, DateTo: to}
-		q.Terms = make([]string, 0, min(int(n), len(c.rest())/4+1))
+		// The terms are views of req and the ids land in pooled scratch:
+		// a warm query allocates nothing (TestAllocQueryPlannedServe).
+		sc := queryScratchPool.Get().(*queryScratch)
+		defer sc.release()
+		q := index.Query{Kind: index.KindFilter(kind), DateFrom: from, DateTo: to, Terms: sc.terms[:0]}
 		for i := uint32(0); i < n; i++ {
-			s, err := c.str()
+			s, err := c.strView()
 			if err != nil {
 				return errResp(err)
 			}
 			q.Terms = append(q.Terms, s)
 		}
-		return idsResp(h.Srv.QueryPlanned(q))
+		sc.terms = q.Terms
+		sc.ids = h.Srv.ContentIndex().Search(q, sc.ids[:0])
+		return idsResp(sc.ids)
 	case OpDescriptor:
 		id, err := c.u64()
 		if err != nil {
@@ -486,15 +511,28 @@ func decodeStatsTagged(payload []byte) (server.Stats, error) {
 	return st, nil
 }
 
-// idsResp builds an OK response carrying an id list directly in a pooled
-// buffer sized exactly, skipping the intermediate payload slice.
+// idsResp builds an OK response carrying a packed id list (see idlist.go)
+// directly in a pooled buffer sized exactly.
 func idsResp(ids []object.ID) []byte {
-	out := newResp(4 + 8*len(ids))
-	out = appendU32(out, uint32(len(ids)))
-	for _, id := range ids {
-		out = appendU64(out, uint64(id))
-	}
+	out := newResp(idListSize(ids))
+	out = appendIDList(out, ids)
 	return finishResp(out, statusOK, 0)
+}
+
+// queryScratch is a served planned query's working state, pooled: the term
+// views and the slice the index searches into.
+type queryScratch struct {
+	terms []string
+	ids   []object.ID
+}
+
+var queryScratchPool = sync.Pool{New: func() any { return new(queryScratch) }}
+
+// release returns the scratch to the pool, dropping the term views first:
+// they alias a request frame that is about to be recycled.
+func (sc *queryScratch) release() {
+	clear(sc.terms)
+	queryScratchPool.Put(sc)
 }
 
 // Responses are built in pooled buffers: newResp reserves the fixed header,
@@ -503,8 +541,10 @@ func idsResp(ids []object.ID) []byte {
 // Ownership rule: HandleAs's return value may be pool-backed. The TCP serve
 // loop (muxConn) recycles it after the frame is written;
 // LocalTransport hands it to the in-process client, which retains payload
-// sub-slices, so it must never recycle. Anything that is not provably the
-// last holder just lets the GC have it.
+// sub-slices of most responses, so the transport must never recycle. The
+// one exception is an id list: MergeIDLists copies the ids out and is then
+// the last holder, so it recycles the frame. Anything that is not provably
+// the last holder just lets the GC have it.
 const respHeader = 13 // [status u8][device time u64][payload length u32]
 
 // newResp returns a pooled response buffer with room for sizeHint payload
@@ -583,6 +623,13 @@ func (c *Client) policy() (RetryPolicy, *BackoffRand) {
 // callCtx performs one request/response exchange under the retry loop,
 // bounded by ctx.
 func (c *Client) callCtx(ctx context.Context, req []byte) ([]byte, time.Duration, error) {
+	_, payload, dur, err := c.exchangeCtx(ctx, req)
+	return payload, dur, err
+}
+
+// exchangeCtx is callCtx that also returns the whole response the payload
+// sits in. The transport hands the response over: the caller owns it.
+func (c *Client) exchangeCtx(ctx context.Context, req []byte) (resp, payload []byte, dur time.Duration, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -590,25 +637,23 @@ func (c *Client) callCtx(ctx context.Context, req []byte) ([]byte, time.Duration
 	var last error
 	for attempt := 1; ; attempt++ {
 		t := c.Transport()
-		resp, err := roundTripCtx(ctx, t, req)
+		resp, err = roundTripCtx(ctx, t, req)
 		if err == nil {
-			var payload []byte
-			var dur time.Duration
 			payload, dur, err = parseResponse(resp)
 			if err == nil {
-				return payload, dur, nil
+				return resp, payload, dur, nil
 			}
 		}
 		last = err
 		if ctx.Err() != nil || !IsRetryable(err) || attempt >= pol.MaxAttempts {
-			return nil, 0, last
+			return nil, nil, 0, last
 		}
 		if NeedsReconnect(err) {
 			if rerr := c.reconnect(t); rerr != nil {
 				if errors.Is(rerr, errNoRedial) {
 					// Without a redialer a dead connection stays dead:
 					// retrying cannot help.
-					return nil, 0, last
+					return nil, nil, 0, last
 				}
 				// Redial failed (server still down); back off and try
 				// dialing again on the next attempt.
@@ -616,7 +661,7 @@ func (c *Client) callCtx(ctx context.Context, req []byte) ([]byte, time.Duration
 			}
 		}
 		if serr := sleepCtx(ctx, pol.backoff(attempt, rng)); serr != nil {
-			return nil, 0, last
+			return nil, nil, 0, last
 		}
 	}
 }
@@ -694,15 +739,11 @@ func encodeQueryPlannedReq(q index.Query) []byte {
 // plus attribute predicates — on the server's segmented index, bounded by
 // ctx.
 func (c *Client) QueryPlannedCtx(ctx context.Context, q index.Query) ([]object.ID, time.Duration, error) {
-	if len(q.Terms) > MaxQueryTerms {
-		return nil, 0, fmt.Errorf("wire: query of %d terms exceeds %d", len(q.Terms), MaxQueryTerms)
-	}
-	payload, dur, err := c.callCtx(ctx, encodeQueryPlannedReq(q))
+	l, dur, err := c.IDListCtx(ctx, &q)
 	if err != nil {
 		return nil, dur, err
 	}
-	ids, err := decodeIDs(payload)
-	return ids, dur, err
+	return MergeIDLists(l), dur, nil
 }
 
 // DescriptorCtx fetches and parses an object descriptor, bounded by ctx.
@@ -883,12 +924,11 @@ func (c *Client) VoicePreviewCtx(ctx context.Context, id object.ID) (*voice.Part
 
 // ListCtx returns all published object ids, bounded by ctx.
 func (c *Client) ListCtx(ctx context.Context) ([]object.ID, time.Duration, error) {
-	payload, dur, err := c.callCtx(ctx, []byte{OpList})
+	l, dur, err := c.IDListCtx(ctx, nil)
 	if err != nil {
 		return nil, dur, err
 	}
-	ids, err := decodeIDs(payload)
-	return ids, dur, err
+	return MergeIDLists(l), dur, nil
 }
 
 // ModeCtx returns an object's driving mode: a batch of one on the
@@ -946,28 +986,6 @@ func (c *Client) Fetch(dur *time.Duration) descriptor.FetchFunc {
 		}
 		return data, err
 	}
-}
-
-func decodeIDs(payload []byte) ([]object.ID, error) {
-	c := &cursor{data: payload}
-	n, err := c.u32()
-	if err != nil {
-		return nil, err
-	}
-	// Each id occupies 8 payload bytes; validate before preallocating so
-	// a corrupt count cannot drive a huge allocation.
-	if uint64(len(c.rest())) < uint64(n)*8 {
-		return nil, errShort
-	}
-	ids := make([]object.ID, 0, n)
-	for i := uint32(0); i < n; i++ {
-		v, err := c.u64()
-		if err != nil {
-			return nil, err
-		}
-		ids = append(ids, object.ID(v))
-	}
-	return ids, nil
 }
 
 // --- framing over byte streams (TCP) ---

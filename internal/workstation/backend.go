@@ -33,8 +33,9 @@ type Backend interface {
 	// QueryCtx evaluates a content query; QueryPlannedCtx evaluates a
 	// planned one (conjunctive terms plus attribute predicates, pushed
 	// down to the server's segmented index); ListCtx returns every
-	// published object id. Durations are server device time attributed to
-	// the call.
+	// published object id. All three answer ids ascending, without
+	// duplicates (the session intersects them on that basis). Durations are
+	// server device time attributed to the call.
 	QueryCtx(ctx context.Context, terms ...string) ([]object.ID, time.Duration, error)
 	QueryPlannedCtx(ctx context.Context, q index.Query) ([]object.ID, time.Duration, error)
 	ListCtx(ctx context.Context) ([]object.ID, time.Duration, error)

@@ -149,17 +149,22 @@ func (s *Session) RefineCtx(ctx context.Context, terms ...string) (int, error) {
 	return len(s.results), nil
 }
 
-// intersect keeps the members of base that appear in hits, preserving
-// base's order.
+// intersect keeps the members of base that appear in hits. Both are
+// ascending without duplicates, as every Backend query answers, so one
+// two-pointer pass does it and the result is ascending too. It is a fresh
+// slice: base may still be in a prefetcher's hands.
 func intersect(base, hits []object.ID) []object.ID {
-	match := map[object.ID]bool{}
-	for _, id := range hits {
-		match[id] = true
-	}
-	var kept []object.ID
-	for _, id := range base {
-		if match[id] {
-			kept = append(kept, id)
+	kept := make([]object.ID, 0, min(len(base), len(hits)))
+	for i, j := 0, 0; i < len(base) && j < len(hits); {
+		switch {
+		case base[i] < hits[j]:
+			i++
+		case base[i] > hits[j]:
+			j++
+		default:
+			kept = append(kept, base[i])
+			i++
+			j++
 		}
 	}
 	return kept

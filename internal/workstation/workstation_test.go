@@ -2,6 +2,8 @@ package workstation
 
 import (
 	"context"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"minos/internal/archiver"
@@ -257,4 +259,56 @@ func containsStr(xs []string, want string) bool {
 		}
 	}
 	return false
+}
+
+// intersectRef is the map-based intersection the two-pointer pass replaced.
+func intersectRef(base, hits []object.ID) []object.ID {
+	match := map[object.ID]bool{}
+	for _, id := range hits {
+		match[id] = true
+	}
+	var kept []object.ID
+	for _, id := range base {
+		if match[id] {
+			kept = append(kept, id)
+		}
+	}
+	return kept
+}
+
+// TestIntersectMatchesMapReference: on ascending, duplicate-free lists —
+// what every Backend query returns — the two-pointer intersection keeps
+// exactly what the map-based one did, in the same (ascending) order.
+func TestIntersectMatchesMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	ascending := func(n, span int) []object.ID {
+		var ids []object.ID
+		for id := 0; id < span && len(ids) < n; id++ {
+			if rng.Intn(span) < 2*n {
+				ids = append(ids, object.ID(id))
+			}
+		}
+		return ids
+	}
+	odds := []object.ID{1, 3, 5, 7}
+	cases := [][2][]object.ID{
+		{nil, nil},
+		{nil, odds},
+		{odds, nil},
+		{odds, {0, 2, 4, 6, 8}}, // disjoint, interleaved
+		{odds, {100, 200}},      // disjoint, one past the other
+		{odds, odds},            // identical
+		{odds, {7}},
+		{{0, 1 << 62}, {1 << 62}},
+	}
+	for i := 0; i < 500; i++ {
+		span := 1 + rng.Intn(400)
+		cases = append(cases, [2][]object.ID{ascending(rng.Intn(span), span), ascending(rng.Intn(span), span)})
+	}
+	for _, c := range cases {
+		got, want := intersect(c[0], c[1]), intersectRef(c[0], c[1])
+		if !slices.Equal(got, want) {
+			t.Fatalf("intersect(%v, %v) = %v, want %v", c[0], c[1], got, want)
+		}
+	}
 }
