@@ -15,9 +15,7 @@ import (
 	"minos/internal/descriptor"
 	"minos/internal/disk"
 	"minos/internal/figures"
-	"minos/internal/index"
 	"minos/internal/loadgen"
-	"minos/internal/object"
 	"minos/internal/server"
 	"minos/internal/text"
 	"minos/internal/voice"
@@ -244,58 +242,6 @@ func BenchmarkAblationMarkerDepth(b *testing.B) {
 			}
 			b.ReportMetric(residual, "mean-residual-sec")
 			b.ReportMetric(float64(len(markers)), "markers")
-		})
-	}
-}
-
-// A-SIG: the signature block vs postings alone — the two access-method
-// families of the paper's era, which a segment carries side by side.
-// Signatures are small, fixed-width and sequential to scan (optical-disk
-// friendly) but admit false positives, so candidates are verified against
-// the postings; postings are exact. The bench seals the same corpus with
-// and without the block and reports segment bytes and the cost of an
-// all-common conjunction: 2000 eight-word notes over a 19-word vocabulary,
-// so each query term is in about a third of them — the shape the planner
-// answers from the signatures when it has them, and must intersect
-// otherwise.
-func BenchmarkAblationSignatureVsIndex(b *testing.B) {
-	n := 2000
-	var objs []*object.Object
-	for i := 1; i <= n; i++ {
-		o, err := object.NewBuilder(object.ID(i), fmt.Sprintf("doc %d", i), object.Visual).
-			Text(demo.FillerMarkup(fmt.Sprintf("topic%d", i%17), 8, i)).
-			Build()
-		if err != nil {
-			b.Fatal(err)
-		}
-		objs = append(objs, o)
-	}
-	for _, arm := range []struct {
-		name string
-		cfg  index.Config
-		want index.Strategy
-	}{
-		{"signature", index.Config{}, index.StrategySignature},
-		{"postings", index.Config{SigBits: -1}, index.StrategyIntersect},
-	} {
-		b.Run(arm.name, func(b *testing.B) {
-			st := index.NewStore(arm.cfg)
-			for _, o := range objs {
-				st.AddObject(o)
-			}
-			st.Seal()
-			seg := st.Segments()[0]
-			q := index.Query{Terms: []string{"subway", "tour", "map"}}
-			if got := index.NewSearcher().PlanFor(seg, q).Strategy; got != arm.want {
-				b.Fatalf("planner chose %v, the arm measures %v", got, arm.want)
-			}
-			dst := make([]object.ID, 0, n)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				dst = st.Search(q, dst[:0])
-			}
-			b.ReportMetric(float64(len(seg.Bytes())), "store-bytes")
-			b.ReportMetric(float64(len(dst)), "hits")
 		})
 	}
 }

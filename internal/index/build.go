@@ -58,7 +58,7 @@ func BuildSegments(n int, gen func(i int, d *Doc), cfg Config, workers int) ([]*
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			b := newBuilder(cfg)
+			b := newBuilder()
 			var d Doc
 			for ck := range jobs {
 				start := time.Now()

@@ -30,11 +30,6 @@ type Config struct {
 	// MemtableDocs is the seal threshold: the memtable seals into an
 	// immutable segment when it reaches this many docs. Default 4096.
 	MemtableDocs int
-	// SigBits is the per-doc signature width in bits (rounded up to 64).
-	// Negative disables the signature block. Default 256.
-	SigBits int
-	// BitsPerTerm is how many signature bits each term sets. Default 3.
-	BitsPerTerm int
 	// MergeFanIn triggers a background merge when at least this many
 	// small segments (< 2x MemtableDocs docs) exist. Default 8.
 	MergeFanIn int
@@ -44,37 +39,10 @@ func (c Config) withDefaults() Config {
 	if c.MemtableDocs <= 0 {
 		c.MemtableDocs = 4096
 	}
-	switch {
-	case c.SigBits < 0:
-		c.SigBits = 0
-	case c.SigBits == 0:
-		c.SigBits = 256
-	}
-	if c.BitsPerTerm <= 0 {
-		c.BitsPerTerm = 3
-	}
 	if c.MergeFanIn < 2 {
 		c.MergeFanIn = 8
 	}
 	return c
-}
-
-func (c Config) sigWords() int { return (c.SigBits + 63) / 64 }
-
-// sigTermBits sets bitsPerTerm signature bits for the token — two
-// independent hashes combined (Kirsch–Mitzenmacher). The builder sets
-// them per doc at add time; the planner sets the same bits in its probe.
-func sigTermBits(tok string, sig []uint64, bitsPerTerm int) {
-	var h1, h2 uint64 = 14695981039346656037, 5381
-	for i := 0; i < len(tok); i++ {
-		h1 = (h1 ^ uint64(tok[i])) * 1099511628211
-		h2 = h2*33 + uint64(tok[i])
-	}
-	bits := uint64(len(sig) * 64)
-	for k := 0; k < bitsPerTerm; k++ {
-		b := (h1 + uint64(k)*h2) % bits
-		sig[b/64] |= 1 << (b % 64)
-	}
 }
 
 // builder accumulates docs into a mutable memtable and seals them into a
@@ -84,13 +52,9 @@ func sigTermBits(tok string, sig []uint64, bitsPerTerm int) {
 // add() path — the hot tokenize/post path of a publish — allocates nothing
 // (guarded by TestAllocBuilderAdd).
 type builder struct {
-	sigWords    int
-	bitsPerTerm int
-
 	ids   []object.ID
 	modes []object.Mode
 	dates []uint32
-	sigs  []uint64
 	byID  map[object.ID]int32
 
 	terms    map[string]*postList
@@ -105,12 +69,10 @@ type builder struct {
 
 type postList struct{ ords []uint32 }
 
-func newBuilder(cfg Config) *builder {
+func newBuilder() *builder {
 	return &builder{
-		sigWords:    cfg.sigWords(),
-		bitsPerTerm: cfg.BitsPerTerm,
-		byID:        make(map[object.ID]int32),
-		terms:       make(map[string]*postList),
+		byID:  make(map[object.ID]int32),
+		terms: make(map[string]*postList),
 	}
 }
 
@@ -128,13 +90,6 @@ func (b *builder) add(d *Doc) bool {
 	b.ids = append(b.ids, d.ID)
 	b.modes = append(b.modes, d.Mode)
 	b.dates = append(b.dates, d.Date)
-	var sig []uint64
-	if b.sigWords > 0 {
-		for i := 0; i < b.sigWords; i++ {
-			b.sigs = append(b.sigs, 0)
-		}
-		sig = b.sigs[int(ord)*b.sigWords:]
-	}
 	for _, t := range d.Terms {
 		if t == "" {
 			continue
@@ -145,13 +100,10 @@ func (b *builder) add(d *Doc) bool {
 			b.terms[t] = pl
 		}
 		if n := len(pl.ords); n > 0 && pl.ords[n-1] == ord {
-			continue // duplicate within this doc; signature bits already set
+			continue // duplicate within this doc
 		}
 		pl.ords = append(pl.ords, ord)
 		b.postings++
-		if sig != nil {
-			sigTermBits(t, sig, b.bitsPerTerm)
-		}
 	}
 	return true
 }
@@ -162,7 +114,6 @@ func (b *builder) reset() {
 	b.ids = b.ids[:0]
 	b.modes = b.modes[:0]
 	b.dates = b.dates[:0]
-	b.sigs = b.sigs[:0]
 	clear(b.byID)
 	for _, pl := range b.terms {
 		pl.ords = pl.ords[:0]
@@ -172,7 +123,7 @@ func (b *builder) reset() {
 
 // seal encodes the memtable into a segment file: docs sorted by id, terms
 // sorted bytewise, ordinals remapped accordingly. The output depends only
-// on the set of docs added (in any order) and the config.
+// on the set of docs added, never on their order.
 func (b *builder) seal() []byte {
 	n := len(b.ids)
 	b.perm = b.perm[:0]
@@ -193,16 +144,10 @@ func (b *builder) seal() []byte {
 		modes: make([]object.Mode, n),
 		dates: make([]uint32, n),
 	}
-	if b.sigWords > 0 {
-		parts.sigs = make([]uint64, n*b.sigWords)
-	}
 	for newOrd, oldOrd := range b.perm {
 		parts.ids[newOrd] = b.ids[oldOrd]
 		parts.modes[newOrd] = b.modes[oldOrd]
 		parts.dates[newOrd] = b.dates[oldOrd]
-		if b.sigWords > 0 {
-			copy(parts.sigs[newOrd*b.sigWords:(newOrd+1)*b.sigWords], b.sigs[int(oldOrd)*b.sigWords:])
-		}
 	}
 
 	b.nameBuf = b.nameBuf[:0]
@@ -223,7 +168,7 @@ func (b *builder) seal() []byte {
 		b.partsBuf = append(b.partsBuf, partTerm{name: []byte(name), ords: mapped})
 	}
 	parts.terms = b.partsBuf
-	return encodeParts(&parts, b.sigWords, b.bitsPerTerm)
+	return encodeParts(&parts)
 }
 
 // DocFromObject reduces an object to its indexable Doc, appending terms to

@@ -229,15 +229,13 @@ func distinctTerms(terms []string) []string {
 	return slices.Compact(out)
 }
 
-// sigCorpus is 64 objects in which three terms from three different places
-// — a segment title word, a body word and a voice-only utterance — each
-// occur in half the objects, independently: object i has "spoken" in its
-// title when bit 0 of i is clear, "shadow" in its body when bit 1 is, and
-// the utterance "murmur" when bit 2 is. A conjunction of the three is
-// all-common, so the planner answers it from the signature block
-// (TestPlannerStrategyChoice has the cost argument); objects with i%8 == 0
-// are the true matches. Every object also carries a term of its own.
-func sigCorpus(t *testing.T) []*object.Object {
+// conjCorpus is 64 objects in which three terms from three different
+// places — a segment title word, a body word and a voice-only utterance —
+// each occur in half the objects, independently: object i has "spoken" in
+// its title when bit 0 of i is clear, "shadow" in its body when bit 1 is,
+// and the utterance "murmur" when bit 2 is. Objects with i%8 == 0 hold all
+// three. Every object also carries a term of its own.
+func conjCorpus(t *testing.T) []*object.Object {
 	t.Helper()
 	var objs []*object.Object
 	for i := 0; i < 64; i++ {
@@ -257,101 +255,44 @@ func sigCorpus(t *testing.T) []*object.Object {
 	return objs
 }
 
-var sigQuery = []string{"spoken", "shadow", "murmur"}
-
-// sigStore seals the corpus into one segment and checks the planner would
-// run the signature strategy for sigQuery on it.
-func sigStore(t *testing.T, objs []*object.Object, cfg Config) *Store {
-	t.Helper()
-	s := NewStore(cfg)
+// TestSealedConjunction seals conjCorpus into one segment and answers
+// all-common conjunctions over the three term sources on the intersect
+// path, each checked against the expected ids and against SearchNaive.
+func TestSealedConjunction(t *testing.T) {
+	objs := conjCorpus(t)
+	s := NewStore(Config{})
 	for _, o := range objs {
 		s.AddObject(o)
 	}
 	s.Seal()
-	p := NewSearcher().PlanFor(s.Segments()[0], Query{Terms: sigQuery})
-	if p.Strategy != StrategySignature {
-		t.Fatalf("config %+v: strategy = %v (intersect=%.0f signature=%.0f), want signature",
-			cfg, p.Strategy, p.CostIntersect, p.CostSignature)
+	terms := []string{"spoken", "shadow", "murmur"}
+	sc := &searcher{}
+	if got := sc.planSegment(s.Segments()[0], &Query{Terms: terms}); got != strategyIntersect {
+		t.Fatalf("strategy = %d, want intersect", got)
 	}
-	return s
-}
-
-// The superimposed code admits false positives, never false negatives, and
-// verification removes the false positives: at every width — 64 bits, where
-// most rows contain the probe by accident, included — the signature
-// strategy returns exactly the objects that hold every term.
-func TestSignatureNoFalseNegatives(t *testing.T) {
-	objs := sigCorpus(t)
-	want := []object.ID{1, 9, 17, 25, 33, 41, 49, 57}
-	exact := NewStore(Config{SigBits: -1})
-	for _, o := range objs {
-		exact.AddObject(o)
+	check := func(what string, q Query, want ...object.ID) {
+		t.Helper()
+		wantIDs(t, what, s.Search(q, nil), want...)
+		wantIDs(t, what+" (naive)", s.SearchNaive(q), want...)
 	}
-	exact.Seal()
-	wantIDs(t, "postings only", search(exact, sigQuery...), want...)
-	for _, bits := range []int{64, 0, 512} {
-		s := sigStore(t, objs, Config{SigBits: bits})
-		wantIDs(t, fmt.Sprintf("SigBits %d", bits), search(s, sigQuery...), want...)
-		wantIDs(t, fmt.Sprintf("SigBits %d naive", bits), s.SearchNaive(Query{Terms: sigQuery}), want...)
-	}
-}
-
-// The signature block is the only thing SigBits changes in a segment file:
-// docs x width, width rounded up to whole 64-bit words, 256 bits by default
-// (A-SIG reports these bytes).
-func TestSignatureSizeAccounting(t *testing.T) {
-	objs := sigCorpus(t)
-	size := func(cfg Config) int {
-		s := NewStore(cfg)
-		for _, o := range objs {
-			s.AddObject(o)
+	// Each source alone: the objects whose bit for it is clear.
+	for ti, tok := range terms {
+		var want []object.ID
+		for i := range objs {
+			if i&(1<<ti) == 0 {
+				want = append(want, object.ID(i+1))
+			}
 		}
-		s.Seal()
-		return len(s.Segments()[0].Bytes())
+		check(tok, Query{Terms: []string{tok}}, want...)
 	}
-	bare := size(Config{SigBits: -1})
-	for _, tc := range []struct{ bits, words int }{{0, 4}, {64, 1}, {65, 2}, {512, 8}} {
-		if got, want := size(Config{SigBits: tc.bits})-bare, len(objs)*tc.words*8; got != want {
-			t.Fatalf("SigBits %d: block is %d bytes, want %d", tc.bits, got, want)
-		}
-	}
-}
-
-func TestSignatureANDQueries(t *testing.T) {
-	s := sigStore(t, sigCorpus(t), Config{})
+	all := []object.ID{1, 9, 17, 25, 33, 41, 49, 57}
+	check("all three", Query{Terms: terms}, all...)
 	// A fourth term that one true match holds narrows the conjunction to
 	// it; one that only a non-match holds empties it.
-	wantIDs(t, "narrowed", search(s, append([]string{"unique8"}, sigQuery...)...), 9)
-	wantIDs(t, "emptied", search(s, append([]string{"unique3"}, sigQuery...)...))
-	// Attribute predicates apply before the signature test.
-	wantIDs(t, "wrong mode", s.Search(Query{Terms: sigQuery, Kind: KindAudio}, nil))
-	if got := s.Search(Query{Terms: sigQuery, Kind: KindVisual}, nil); len(got) != 8 {
-		t.Fatalf("kind:visual = %v", got)
-	}
-	wantIDs(t, "no terms", search(s))
-	wantIDs(t, "punctuation only", search(s, "..."))
-}
-
-func TestSignatureIndexesVoiceAndTitles(t *testing.T) {
-	objs := sigCorpus(t)
-	s := sigStore(t, objs, Config{})
-	seg := s.Segments()[0]
-	// Each of the three term sources set its bits in the rows of the
-	// objects that have it: the probe of a single term is contained in
-	// every such row (no false negative per source).
-	for ti, tok := range sigQuery {
-		probe := make([]uint64, seg.sigWords)
-		sigTermBits(tok, probe, seg.bitsPerTerm)
-		for i := range objs {
-			if i&(1<<ti) != 0 {
-				continue
-			}
-			row := seg.sigs[i*seg.sigWords : (i+1)*seg.sigWords]
-			for w := range probe {
-				if row[w]&probe[w] != probe[w] {
-					t.Fatalf("%q missing from the signature of object %d", tok, i+1)
-				}
-			}
-		}
-	}
+	check("narrowed", Query{Terms: append([]string{"unique8"}, terms...)}, 9)
+	check("emptied", Query{Terms: append([]string{"unique3"}, terms...)})
+	check("wrong mode", Query{Terms: terms, Kind: KindAudio})
+	check("kind:visual", Query{Terms: terms, Kind: KindVisual}, all...)
+	check("no terms", Query{})
+	check("punctuation only", Query{Terms: []string{"..."}})
 }

@@ -147,77 +147,38 @@ func normalizeIfNeeded(s string) string {
 	return s
 }
 
-// Strategy is the per-segment execution strategy the planner picks.
-type Strategy uint8
+// strategy is how one segment is searched. The query's shape decides it:
+// there is one access path for terms, so nothing is left to price.
+type strategy uint8
 
 const (
-	// StrategyEmpty: some term is absent from the segment; no matches.
-	StrategyEmpty Strategy = iota
-	// StrategyIntersect: direct posting intersection, terms ordered by
-	// ascending posting length, driver list probed into the others via
-	// skip-table seeks.
-	StrategyIntersect
-	// StrategySignature: superimposed-coding pre-filter — scan the doc
-	// signatures for containment of the query probe, then verify the few
-	// candidates against the postings. Wins when every term is common.
-	StrategySignature
-	// StrategyScan: no terms; walk the doc table applying attribute
+	// strategyEmpty: no terms and no filters, or some term is absent from
+	// the segment; no matches.
+	strategyEmpty strategy = iota
+	// strategyScan: no terms; walk the doc table applying attribute
 	// predicates only.
-	StrategyScan
-)
-
-func (s Strategy) String() string {
-	switch s {
-	case StrategyIntersect:
-		return "intersect"
-	case StrategySignature:
-		return "signature"
-	case StrategyScan:
-		return "scan"
-	default:
-		return "empty"
-	}
-}
-
-// Plan explains how one segment will be searched (exposed for tests and
-// the planner experiment; execution uses the same numbers).
-type Plan struct {
-	Strategy Strategy
-	// TermCounts are the per-term posting counts in execution order
-	// (ascending — the rarest term drives the intersection).
-	TermCounts []int
-	// CostIntersect and CostSignature are the planner's abstract cost
-	// estimates (comparable to each other, not to wall time).
-	CostIntersect float64
-	CostSignature float64
-}
-
-// Planner cost weights. A skip-table probe costs a binary search plus at
-// most one block decode; a signature containment test costs sigWords word
-// compares per doc. The constants only need to get the crossover right:
-// intersection wins while the driver list is short relative to the doc
-// count; the signature scan wins when every term is common.
-const (
-	costSeek    = 24.0 // one seekGE into a posting list
-	costSigWord = 0.9  // one 64-bit signature word test
-	costEmit    = 1.0  // one candidate verification step
+	strategyScan
+	// strategyIntersect: posting intersection, terms ordered by ascending
+	// posting count, the rarest list probed into the others via
+	// skip-table seeks.
+	strategyIntersect
 )
 
 // planSegment resolves the query's terms against one segment and picks the
-// strategy. The resolved term entries are appended to sc.terms (ordered by
-// ascending posting count).
-func (sc *Searcher) planSegment(g *Segment, q *Query) Plan {
+// strategy. The resolved term entries are left in sc.terms, ordered by
+// ascending posting count.
+func (sc *searcher) planSegment(g *Segment, q *Query) strategy {
 	sc.terms = sc.terms[:0]
 	if len(q.Terms) == 0 {
 		if q.HasFilters() {
-			return Plan{Strategy: StrategyScan}
+			return strategyScan
 		}
-		return Plan{Strategy: StrategyEmpty}
+		return strategyEmpty
 	}
 	for _, tok := range q.Terms {
 		te := g.findTerm(tok)
 		if te == nil {
-			return Plan{Strategy: StrategyEmpty}
+			return strategyEmpty
 		}
 		sc.terms = append(sc.terms, te)
 	}
@@ -227,64 +188,26 @@ func (sc *Searcher) planSegment(g *Segment, q *Query) Plan {
 			sc.terms[j], sc.terms[j-1] = sc.terms[j-1], sc.terms[j]
 		}
 	}
-	p := Plan{Strategy: StrategyIntersect}
-	if cap(sc.counts) < len(sc.terms) {
-		sc.counts = make([]int, 0, len(q.Terms))
-	}
-	sc.counts = sc.counts[:0]
-	for _, te := range sc.terms {
-		sc.counts = append(sc.counts, int(te.count))
-	}
-	p.TermCounts = sc.counts
-
-	driver := float64(sc.terms[0].count)
-	p.CostIntersect = driver * float64(len(sc.terms)-1) * costSeek
-	if g.sigWords > 0 && len(sc.terms) > 1 {
-		// Expected true matches under independence, plus the false-positive
-		// tail of the superimposed code (~docs/1024 at the default config).
-		sel := 1.0
-		for _, te := range sc.terms {
-			sel *= float64(te.count) / float64(len(g.ids))
-		}
-		cand := sel*float64(len(g.ids)) + float64(len(g.ids))/1024
-		p.CostSignature = float64(len(g.ids)*g.sigWords)*costSigWord +
-			cand*float64(len(sc.terms))*(costSeek+costEmit)
-		if p.CostSignature < p.CostIntersect {
-			p.Strategy = StrategySignature
-		}
-	}
-	return p
-}
-
-// PlanFor returns the plan the searcher would execute against the given
-// segment — exposed for tests and EXPERIMENTS.md; the returned TermCounts
-// slice is only valid until the next call on the same Searcher.
-func (sc *Searcher) PlanFor(g *Segment, q Query) Plan {
-	sc.normalize(&q)
-	return sc.planSegment(g, &q)
+	return strategyIntersect
 }
 
 // searchSegment appends the segment's matching ids (ascending) to sc.arena.
-func (sc *Searcher) searchSegment(g *Segment, q *Query) {
-	plan := sc.planSegment(g, q)
-	switch plan.Strategy {
-	case StrategyEmpty:
-	case StrategyScan:
+func (sc *searcher) searchSegment(g *Segment, q *Query) {
+	switch sc.planSegment(g, q) {
+	case strategyScan:
 		for i := range g.ids {
 			if q.matchAttrs(g.modes[i], g.dates[i]) {
 				sc.arena = append(sc.arena, g.ids[i])
 			}
 		}
-	case StrategyIntersect:
+	case strategyIntersect:
 		sc.intersectSegment(g, q)
-	case StrategySignature:
-		sc.signatureSegment(g, q)
 	}
 }
 
 // intersectSegment drives the shortest posting list through skip-table
 // seeks into the others. Allocation-free once the searcher scratch is warm.
-func (sc *Searcher) intersectSegment(g *Segment, q *Query) {
+func (sc *searcher) intersectSegment(g *Segment, q *Query) {
 	if cap(sc.iters) < len(sc.terms) {
 		sc.iters = make([]postingIter, len(sc.terms))
 	}
@@ -313,78 +236,9 @@ func (sc *Searcher) intersectSegment(g *Segment, q *Query) {
 		if !matched {
 			continue
 		}
-		sc.emit(g, q, ord)
+		if q.matchAttrs(g.modes[ord], g.dates[ord]) {
+			sc.arena = append(sc.arena, g.ids[ord])
+		}
 		ord, ok = drv.next()
-	}
-}
-
-func (sc *Searcher) emit(g *Segment, q *Query, ord uint32) {
-	if q.matchAttrs(g.modes[ord], g.dates[ord]) {
-		sc.arena = append(sc.arena, g.ids[ord])
-	}
-}
-
-// signatureSegment scans the signature block for probe containment, then
-// verifies each candidate against the postings (the superimposed code
-// admits false positives, never false negatives).
-func (sc *Searcher) signatureSegment(g *Segment, q *Query) {
-	if cap(sc.probe) < g.sigWords {
-		sc.probe = make([]uint64, g.sigWords)
-	}
-	sc.probe = sc.probe[:g.sigWords]
-	for i := range sc.probe {
-		sc.probe[i] = 0
-	}
-	for _, tok := range q.Terms {
-		sigTermBits(tok, sc.probe, g.bitsPerTerm)
-	}
-	sc.cand = sc.cand[:0]
-	for ord := 0; ord < len(g.ids); ord++ {
-		if !q.matchAttrs(g.modes[ord], g.dates[ord]) {
-			continue
-		}
-		row := g.sigs[ord*g.sigWords : (ord+1)*g.sigWords]
-		match := true
-		for i, w := range sc.probe {
-			if row[i]&w != w {
-				match = false
-				break
-			}
-		}
-		if match {
-			sc.cand = append(sc.cand, uint32(ord))
-		}
-	}
-	if len(sc.cand) == 0 {
-		return
-	}
-	// Verify candidates term by term, rarest first; candidates are
-	// ascending, so each list is walked forward at most once.
-	if cap(sc.iters) < len(sc.terms) {
-		sc.iters = make([]postingIter, len(sc.terms))
-	}
-	sc.iters = sc.iters[:len(sc.terms)]
-	for i, te := range sc.terms {
-		sc.iters[i].reset(g, te)
-	}
-	for i := range sc.iters {
-		it := &sc.iters[i]
-		sc.cand2 = sc.cand2[:0]
-		for _, ord := range sc.cand {
-			got, ok := it.seekGE(ord)
-			if !ok {
-				break
-			}
-			if got == ord {
-				sc.cand2 = append(sc.cand2, ord)
-			}
-		}
-		sc.cand, sc.cand2 = sc.cand2, sc.cand
-		if len(sc.cand) == 0 {
-			return
-		}
-	}
-	for _, ord := range sc.cand {
-		sc.arena = append(sc.arena, g.ids[ord])
 	}
 }

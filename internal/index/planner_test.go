@@ -54,8 +54,8 @@ func TestParseQuery(t *testing.T) {
 }
 
 // plannerDoc gives every doc 3 common terms (from a pool of 9, ~1/3 each)
-// and i%101==0 docs one rare term — a corpus where the signature strategy
-// must beat direct intersection for all-common conjunctions.
+// and i%101==0 docs one rare term: conjunctions with a rare driver and
+// all-common ones.
 func plannerDoc(i int, d *Doc) {
 	d.ID = object.ID(i + 1)
 	d.Mode = object.Visual
@@ -73,7 +73,7 @@ func plannerDoc(i int, d *Doc) {
 }
 
 func TestPlannerStrategyChoice(t *testing.T) {
-	b := newBuilder(Config{}.withDefaults())
+	b := newBuilder()
 	var d Doc
 	for i := 0; i < 5000; i++ {
 		plannerDoc(i, &d)
@@ -83,42 +83,42 @@ func TestPlannerStrategyChoice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := NewSearcher()
+	sc := &searcher{}
+	plan := func(q Query) strategy { return sc.planSegment(seg, &q) }
 
-	// Rare driver -> intersection, terms ordered ascending.
-	p := sc.PlanFor(seg, Query{Terms: []string{"common0", "needle", "common1"}})
-	if p.Strategy != StrategyIntersect {
-		t.Fatalf("rare-driver strategy = %v, want intersect", p.Strategy)
-	}
-	for i := 1; i < len(p.TermCounts); i++ {
-		if p.TermCounts[i] < p.TermCounts[i-1] {
-			t.Fatalf("term counts not ascending: %v", p.TermCounts)
+	// Terms -> intersection, rarest term first whatever the query order.
+	for _, terms := range [][]string{
+		{"common0", "needle", "common1"},
+		{"common0", "common1", "common2"},
+	} {
+		if got := plan(Query{Terms: terms}); got != strategyIntersect {
+			t.Fatalf("%v: strategy = %d, want intersect", terms, got)
+		}
+		for i := 1; i < len(sc.terms); i++ {
+			if sc.terms[i].count < sc.terms[i-1].count {
+				t.Fatalf("%v: term counts not ascending at %d", terms, i)
+			}
 		}
 	}
-	if p.TermCounts[0] != 50 { // 5000/101 rounded up
-		t.Fatalf("driver count = %d, want 50", p.TermCounts[0])
+	plan(Query{Terms: []string{"common0", "needle", "common1"}})
+	if sc.terms[0].count != 50 { // 5000/101 rounded up
+		t.Fatalf("driver count = %d, want 50", sc.terms[0].count)
 	}
 
-	// All-common conjunction -> signature pre-filter.
-	p = sc.PlanFor(seg, Query{Terms: []string{"common0", "common1", "common2"}})
-	if p.Strategy != StrategySignature {
-		t.Fatalf("all-common strategy = %v (intersect=%.0f signature=%.0f), want signature",
-			p.Strategy, p.CostIntersect, p.CostSignature)
+	// Missing term -> empty; no terms and no filters -> empty.
+	if got := plan(Query{Terms: []string{"common0", "absent"}}); got != strategyEmpty {
+		t.Fatalf("missing-term strategy = %d, want empty", got)
 	}
-
-	// Missing term -> empty.
-	p = sc.PlanFor(seg, Query{Terms: []string{"common0", "absent"}})
-	if p.Strategy != StrategyEmpty {
-		t.Fatalf("missing-term strategy = %v, want empty", p.Strategy)
+	if got := plan(Query{}); got != strategyEmpty {
+		t.Fatalf("empty-query strategy = %d, want empty", got)
 	}
 
 	// Attribute-only -> scan.
-	p = sc.PlanFor(seg, Query{Kind: KindVisual})
-	if p.Strategy != StrategyScan {
-		t.Fatalf("attr-only strategy = %v, want scan", p.Strategy)
+	if got := plan(Query{Kind: KindVisual}); got != strategyScan {
+		t.Fatalf("attr-only strategy = %d, want scan", got)
 	}
 
-	// Both strategies must agree with brute force.
+	// Execution must agree with brute force.
 	ref := func(q Query) []object.ID {
 		var out []object.ID
 		var rd Doc
@@ -149,9 +149,7 @@ func TestPlannerStrategyChoice(t *testing.T) {
 		{Terms: []string{"needle", "common0"}},
 	} {
 		sc.arena = sc.arena[:0]
-		qq := q
-		sc.normalize(&qq)
-		sc.searchSegment(seg, &qq)
+		sc.searchSegment(seg, &q)
 		want := ref(q)
 		if !eqIDs(sc.arena, want) {
 			t.Fatalf("query %v: got %d ids, want %d", q.Terms, len(sc.arena), len(want))

@@ -13,22 +13,19 @@ import (
 // The segmented index (DESIGN.md §12) stores the content index as a set of
 // sealed, immutable segment files. Each segment covers a disjoint set of
 // objects and is fully self-contained: a sorted doc table (object id, media
-// mode, date) for attribute predicates, an optional superimposed-coding
-// signature block for cheap conjunctive pre-filtering, and a sorted term
-// dictionary whose postings are delta-encoded doc ordinals in skip blocks.
+// mode, date) for attribute predicates and a sorted term dictionary whose
+// postings are delta-encoded doc ordinals in skip blocks — the one access
+// path a query takes (planner.go).
 // Sealed segments never change — the same WORM argument that makes shard
 // replicas trivially consistent (DESIGN.md §9) applies: a replica serving
 // the same sealed segment serves it byte-identically.
 //
 // Segment layout (big-endian):
 //
-//	magic        "MSG1"
-//	version      u8  (1)
-//	bitsPerTerm  u8  (signature bits set per term; 0 iff sigWords == 0)
-//	sigWords     u16 (per-doc signature width in 64-bit words; 0 = none)
+//	magic        "MSG2"
+//	version      u8  (2)
 //	docCount     u32
 //	doc table    docCount x { id u64, mode u8, date u32 }   (ids strictly ascending)
-//	sig block    docCount x sigWords x u64
 //	termCount    u32
 //	dictionary   termCount x { len u16, bytes, postings u32, postBytes u32 }
 //	             (terms strictly ascending, bytewise)
@@ -41,12 +38,15 @@ import (
 // decode at most one block. Deltas are taken against the previous block's
 // lastOrd (-1 for the first block), so every delta is >= 1 and each block
 // decodes independently.
+//
+// The magic names the layout: an MSG1 blob (whose header and per-doc
+// signature block this layout dropped) is rejected, never misparsed.
 
 const (
-	segMagic   = "MSG1"
-	segVersion = 1
+	segMagic   = "MSG2"
+	segVersion = 2
 	// segHeader is the fixed prefix before the doc table.
-	segHeader = 4 + 1 + 1 + 2 + 4
+	segHeader = 4 + 1 + 4
 	// segDocEntry is the doc-table entry size: id u64, mode u8, date u32.
 	segDocEntry = 13
 	// skipBlock is the posting count per skip block.
@@ -63,10 +63,6 @@ type Segment struct {
 	ids   []object.ID
 	modes []object.Mode
 	dates []uint32
-
-	sigWords    int
-	bitsPerTerm int
-	sigs        []uint64 // len = len(ids)*sigWords
 
 	terms    []termEntry
 	postings int
@@ -268,14 +264,13 @@ func uvarint(b []byte) (uint64, int) {
 	return 0, 0
 }
 
-// segParts is the pre-encoding form of a segment: sorted docs, their
-// signature rows, and the sorted term -> ordinal lists. Both the memtable
-// seal and the background merge produce one.
+// segParts is the pre-encoding form of a segment: sorted docs and the
+// sorted term -> ordinal lists. Both the memtable seal and the background
+// merge produce one.
 type segParts struct {
 	ids   []object.ID
 	modes []object.Mode
 	dates []uint32
-	sigs  []uint64 // len(ids)*sigWords, or nil when sigWords == 0
 	terms []partTerm
 }
 
@@ -287,12 +282,9 @@ type partTerm struct {
 // encodeParts seals the parts into a segment file. The doc table must be
 // strictly ascending by id and the terms strictly ascending by name; every
 // ordinal list must be strictly ascending. The output depends only on the
-// parts and (sigWords, bitsPerTerm) — never on timing or scheduling — which
-// is what makes sealed segments bit-identical per (corpus, config).
-func encodeParts(p *segParts, sigWords, bitsPerTerm int) []byte {
-	if sigWords == 0 {
-		bitsPerTerm = 0
-	}
+// parts — never on timing or scheduling — which is what makes sealed
+// segments bit-identical per corpus.
+func encodeParts(p *segParts) []byte {
 	// Stage the delta bytes first (into a pooled buffer) so the dictionary
 	// can record exact postBytes, then assemble the blob in one pass.
 	staging := pool.Bytes.Get(1 << 12)[:0]
@@ -320,7 +312,7 @@ func encodeParts(p *segParts, sigWords, bitsPerTerm int) []byte {
 		staged[ti] = st
 	}
 
-	size := segHeader + segDocEntry*len(p.ids) + 8*len(p.sigs) + 4
+	size := segHeader + segDocEntry*len(p.ids) + 4
 	for ti := range p.terms {
 		size += 2 + len(p.terms[ti].name) + 4 + 4
 		size += 4*(staged[ti].skip1-staged[ti].skip0) + (staged[ti].post1 - staged[ti].post0)
@@ -328,16 +320,12 @@ func encodeParts(p *segParts, sigWords, bitsPerTerm int) []byte {
 
 	out := make([]byte, 0, size)
 	out = append(out, segMagic...)
-	out = append(out, segVersion, byte(bitsPerTerm))
-	out = binary.BigEndian.AppendUint16(out, uint16(sigWords))
+	out = append(out, segVersion)
 	out = binary.BigEndian.AppendUint32(out, uint32(len(p.ids)))
 	for i, id := range p.ids {
 		out = binary.BigEndian.AppendUint64(out, uint64(id))
 		out = append(out, byte(p.modes[i]))
 		out = binary.BigEndian.AppendUint32(out, p.dates[i])
-	}
-	for _, w := range p.sigs {
-		out = binary.BigEndian.AppendUint64(out, w)
 	}
 	out = binary.BigEndian.AppendUint32(out, uint32(len(p.terms)))
 	for ti := range p.terms {
@@ -369,24 +357,17 @@ func ParseSegment(blob []byte) (*Segment, error) {
 	if blob[4] != segVersion {
 		return nil, fmt.Errorf("index: unsupported segment version %d", blob[4])
 	}
-	bitsPerTerm := int(blob[5])
-	sigWords := int(binary.BigEndian.Uint16(blob[6:]))
-	docCount := int(binary.BigEndian.Uint32(blob[8:]))
+	docCount := int(binary.BigEndian.Uint32(blob[5:]))
 	pos := segHeader
 	rest := len(blob) - pos
 	if docCount > rest/segDocEntry {
 		return nil, fmt.Errorf("index: doc count %d exceeds segment size", docCount)
 	}
-	if (sigWords == 0) != (bitsPerTerm == 0) {
-		return nil, fmt.Errorf("index: inconsistent signature config (%d words, %d bits/term)", sigWords, bitsPerTerm)
-	}
 	g := &Segment{
-		blob:        blob,
-		sigWords:    sigWords,
-		bitsPerTerm: bitsPerTerm,
-		ids:         make([]object.ID, docCount),
-		modes:       make([]object.Mode, docCount),
-		dates:       make([]uint32, docCount),
+		blob:  blob,
+		ids:   make([]object.ID, docCount),
+		modes: make([]object.Mode, docCount),
+		dates: make([]uint32, docCount),
 	}
 	for i := 0; i < docCount; i++ {
 		id := object.ID(binary.BigEndian.Uint64(blob[pos:]))
@@ -401,17 +382,6 @@ func ParseSegment(blob []byte) (*Segment, error) {
 		g.modes[i] = object.Mode(mode)
 		g.dates[i] = binary.BigEndian.Uint32(blob[pos+9:])
 		pos += segDocEntry
-	}
-	if sigWords > 0 {
-		n := docCount * sigWords
-		if n > (len(blob)-pos)/8 {
-			return nil, fmt.Errorf("index: signature block exceeds segment size")
-		}
-		g.sigs = make([]uint64, n)
-		for i := range g.sigs {
-			g.sigs[i] = binary.BigEndian.Uint64(blob[pos:])
-			pos += 8
-		}
 	}
 	if len(blob)-pos < 4 {
 		return nil, fmt.Errorf("index: segment truncated before dictionary")

@@ -38,9 +38,9 @@ func testDoc(i int, d *Doc) {
 	d.Terms = append(d.Terms, d.Terms[len(d.Terms)-1]) // duplicate within doc
 }
 
-func buildTestSegment(t testing.TB, n int, cfg Config) *Segment {
+func buildTestSegment(t testing.TB, n int) *Segment {
 	t.Helper()
-	b := newBuilder(cfg.withDefaults())
+	b := newBuilder()
 	var d Doc
 	for i := 0; i < n; i++ {
 		testDoc(i, &d)
@@ -78,7 +78,7 @@ func reference(n int) (map[string][]object.ID, map[object.ID]Doc) {
 
 func TestSegmentRoundTrip(t *testing.T) {
 	const n = 700 // crosses several skip blocks for common terms
-	seg := buildTestSegment(t, n, Config{})
+	seg := buildTestSegment(t, n)
 	want, docs := reference(n)
 	if seg.Docs() != n {
 		t.Fatalf("Docs = %d, want %d", seg.Docs(), n)
@@ -122,7 +122,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 
 func TestSegmentSeekGE(t *testing.T) {
 	const n = 900
-	seg := buildTestSegment(t, n, Config{})
+	seg := buildTestSegment(t, n)
 	want, _ := reference(n)
 	for _, tok := range []string{"alpha", "even", "rareterm", "w000"} {
 		ids := want[tok]
@@ -181,7 +181,7 @@ func ordOf(seg *Segment, id object.ID) uint32 {
 // parser: each must fail cleanly, never panic — the same discipline as the
 // cluster-map and WebSocket frame codecs.
 func TestSegmentTruncationTable(t *testing.T) {
-	seg := buildTestSegment(t, 60, Config{})
+	seg := buildTestSegment(t, 60)
 	blob := seg.Bytes()
 	for cut := 0; cut < len(blob); cut++ {
 		if _, err := ParseSegment(blob[:cut]); err == nil {
@@ -200,7 +200,7 @@ func TestSegmentTruncationTable(t *testing.T) {
 // TestSegmentCorruptionSweep flips every byte of a small segment; the
 // parser must never panic, and whatever parses must be walkable.
 func TestSegmentCorruptionSweep(t *testing.T) {
-	seg := buildTestSegment(t, 40, Config{})
+	seg := buildTestSegment(t, 40)
 	blob := seg.Bytes()
 	mut := make([]byte, len(blob))
 	for pos := 0; pos < len(blob); pos++ {
@@ -230,12 +230,20 @@ func TestSegmentCorruptionSweep(t *testing.T) {
 func TestSegmentHostileCounts(t *testing.T) {
 	cases := [][]byte{
 		// doc count 2^32-1 on a tiny blob.
-		{'M', 'S', 'G', '1', 1, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF},
-		// sig block claimed far beyond the blob.
-		{'M', 'S', 'G', '1', 1, 3, 0xFF, 0xFF, 0, 0, 0, 1,
-			0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0},
+		{'M', 'S', 'G', '2', 2, 0xFF, 0xFF, 0xFF, 0xFF},
 		// term count huge.
-		{'M', 'S', 'G', '1', 1, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF},
+		{'M', 'S', 'G', '2', 2, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF},
+		// one doc, one term whose posting count exceeds the doc count.
+		{'M', 'S', 'G', '2', 2, 0, 0, 0, 1,
+			0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0,
+			0, 0, 0, 1, 0, 1, 'a', 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1},
+		// posting bytes claimed far beyond the blob.
+		{'M', 'S', 'G', '2', 2, 0, 0, 0, 1,
+			0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0,
+			0, 0, 0, 1, 0, 1, 'a', 0, 0, 0, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0, 0, 0, 0, 0, 1},
+		// a well-formed empty MSG1 segment (4 signature words per doc):
+		// the old layout is rejected on its magic, never misparsed.
+		{'M', 'S', 'G', '1', 1, 3, 0, 4, 0, 0, 0, 0, 0, 0, 0, 0},
 	}
 	for i, blob := range cases {
 		if _, err := ParseSegment(blob); err == nil {
@@ -245,13 +253,12 @@ func TestSegmentHostileCounts(t *testing.T) {
 }
 
 func FuzzParseSegment(f *testing.F) {
-	seg := buildTestSegment(f, 30, Config{})
+	seg := buildTestSegment(f, 30)
 	f.Add(seg.Bytes())
 	f.Add(seg.Bytes()[:len(seg.Bytes())/2])
 	f.Add([]byte(segMagic))
 	f.Add([]byte{})
-	small := buildTestSegment(f, 3, Config{SigBits: -1})
-	f.Add(small.Bytes())
+	f.Add(buildTestSegment(f, 3).Bytes())
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		g, err := ParseSegment(blob)
 		if err != nil {
@@ -282,7 +289,7 @@ func FuzzParseSegment(f *testing.F) {
 func TestSegmentDeterministic(t *testing.T) {
 	const n = 120
 	build := func(order []int, warm bool) []byte {
-		b := newBuilder(Config{}.withDefaults())
+		b := newBuilder()
 		if warm {
 			var d Doc
 			for i := 0; i < 30; i++ {

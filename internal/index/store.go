@@ -7,9 +7,10 @@
 // makes content retrieval symmetric.
 //
 // Store is the only index: a memtable sealing into immutable segments
-// (segment.go) that each carry postings and a superimposed-coding signature
-// block, searched under one per-segment planner (planner.go) that answers
-// AND queries over terms combined with mode and date predicates (Query).
+// (segment.go) of doc tables and skip-blocked postings. Queries (Query)
+// are AND over terms combined with mode and date predicates; per segment
+// the query's shape picks the strategy (planner.go), and terms are always
+// answered one way — posting intersection, rarest term first.
 // Searching inside one object — pattern browsing — needs no index and lives
 // with the media: text.NextPhrase and voice.NextUtterance.
 package index
@@ -62,9 +63,9 @@ type snapshot struct {
 // NewStore builds an empty store.
 func NewStore(cfg Config) *Store {
 	cfg = cfg.withDefaults()
-	s := &Store{cfg: cfg, mem: newBuilder(cfg)}
+	s := &Store{cfg: cfg, mem: newBuilder()}
 	s.snap.Store(&snapshot{})
-	s.searchers.New = func() any { return &Searcher{} }
+	s.searchers.New = func() any { return &searcher{} }
 	return s
 }
 
@@ -183,7 +184,7 @@ func (s *Store) mergeOnce() bool {
 	if len(pick) < 2 {
 		return false
 	}
-	blob := mergeSegments(pick, s.cfg)
+	blob := mergeSegments(pick)
 	merged, err := ParseSegment(blob)
 	if err != nil {
 		panic(fmt.Sprintf("index: merged segment failed validation: %v", err))
@@ -224,9 +225,7 @@ func (s *Store) mergeOnce() bool {
 // are disjoint (Add enforces it), doc tables and dictionaries are sorted,
 // so this is a pure k-way merge; per-segment ordinal remaps are monotonic,
 // which keeps every merged posting list a k-way merge of ascending runs.
-func mergeSegments(segs []*Segment, cfg Config) []byte {
-	cfg = cfg.withDefaults()
-	sigWords := cfg.sigWords()
+func mergeSegments(segs []*Segment) []byte {
 	total := 0
 	for _, g := range segs {
 		total += g.Docs()
@@ -235,9 +234,6 @@ func mergeSegments(segs []*Segment, cfg Config) []byte {
 		ids:   make([]object.ID, 0, total),
 		modes: make([]object.Mode, 0, total),
 		dates: make([]uint32, 0, total),
-	}
-	if sigWords > 0 {
-		parts.sigs = make([]uint64, 0, total*sigWords)
 	}
 	// Merge doc tables by id, building per-segment ordinal remaps.
 	remap := make([][]uint32, len(segs))
@@ -263,19 +259,6 @@ func mergeSegments(segs []*Segment, cfg Config) []byte {
 		parts.ids = append(parts.ids, g.ids[h])
 		parts.modes = append(parts.modes, g.modes[h])
 		parts.dates = append(parts.dates, g.dates[h])
-		if sigWords > 0 {
-			if g.sigWords == sigWords {
-				parts.sigs = append(parts.sigs, g.sigs[h*sigWords:(h+1)*sigWords]...)
-			} else {
-				// Config changed across seals; a fresh zero row keeps the
-				// block well-formed (the planner then simply never picks
-				// the signature strategy for docs it cannot pre-filter —
-				// containment of a zero row only matches an empty probe).
-				for k := 0; k < sigWords; k++ {
-					parts.sigs = append(parts.sigs, 0)
-				}
-			}
-		}
 		heads[best]++
 	}
 	// Merge dictionaries by term bytes.
@@ -343,7 +326,7 @@ func mergeSegments(segs []*Segment, cfg Config) []byte {
 			}
 		}
 	}
-	return encodeParts(&parts, sigWords, cfg.BitsPerTerm)
+	return encodeParts(&parts)
 }
 
 // StoreStats is a point-in-time summary.
@@ -380,16 +363,11 @@ func (s *Store) Segments() []*Segment {
 // Generation returns the snapshot epoch (bumped by every seal and merge).
 func (s *Store) Generation() uint64 { return s.snap.Load().gen }
 
-// Searcher carries the per-query scratch that makes the warm planned-query
-// path allocation-free. Search manages a pool internally; NewSearcher is
-// for callers that want to drive segments directly (tests, benches).
-type Searcher struct {
-	terms  []*termEntry
-	counts []int
-	iters  []postingIter
-	probe  []uint64
-	cand   []uint32
-	cand2  []uint32
+// searcher carries the per-query scratch that makes the warm planned-query
+// path allocation-free; Search draws one from the store's pool.
+type searcher struct {
+	terms []*termEntry
+	iters []postingIter
 
 	arena  []object.ID
 	bounds []int
@@ -400,14 +378,11 @@ type Searcher struct {
 	memQ []object.ID
 }
 
-// NewSearcher returns an empty searcher.
-func NewSearcher() *Searcher { return &Searcher{} }
-
 // normalize rewrites q.Terms into normalized tokens using the searcher's
 // scratch. Tokens that are already normalized (the common case — every
 // wire client normalizes at parse time) are passed through without
 // allocating.
-func (sc *Searcher) normalize(q *Query) {
+func (sc *searcher) normalize(q *Query) {
 	sc.norm = sc.norm[:0]
 	for _, t := range q.Terms {
 		t = normalizeIfNeeded(t)
@@ -424,7 +399,7 @@ func (sc *Searcher) normalize(q *Query) {
 // takes a short read lock. With a warm searcher and a capacious dst the
 // call allocates nothing (TestAllocSearchWarm).
 func (s *Store) Search(q Query, dst []object.ID) []object.ID {
-	sc := s.searchers.Get().(*Searcher)
+	sc := s.searchers.Get().(*searcher)
 	defer s.searchers.Put(sc)
 	sc.normalize(&q)
 	if q.empty() {
@@ -456,7 +431,7 @@ func (s *Store) Search(q Query, dst []object.ID) []object.ID {
 }
 
 // searchMem evaluates the query against the live memtable into sc.memQ.
-func (sc *Searcher) searchMem(b *builder, q *Query) {
+func (sc *searcher) searchMem(b *builder, q *Query) {
 	sc.memQ = sc.memQ[:0]
 	if b.docs() == 0 {
 		return
@@ -500,7 +475,7 @@ func (sc *Searcher) searchMem(b *builder, q *Query) {
 // sc.bounds into dst. Sources are disjoint except for the benign
 // seal-vs-query race (a doc momentarily visible in both the new segment
 // and the memtable), so equal heads deduplicate.
-func (sc *Searcher) mergeInto(dst []object.ID) []object.ID {
+func (sc *searcher) mergeInto(dst []object.ID) []object.ID {
 	n := len(sc.bounds) / 2
 	if n == 0 {
 		return dst
@@ -541,10 +516,10 @@ func (sc *Searcher) mergeInto(dst []object.ID) []object.ID {
 
 // SearchNaive is the reference evaluation kept for the E-INDEX A/B and the
 // tests: it materializes every term's full posting set into maps and
-// intersects them — no term ordering, no skip probes, no signature
-// pre-filter. Same results as Search, the seed's cost model.
+// intersects them — no term ordering, no skip probes. Same results as
+// Search, the seed's cost model.
 func (s *Store) SearchNaive(q Query) []object.ID {
-	sc := NewSearcher()
+	sc := &searcher{}
 	sc.normalize(&q)
 	if q.empty() {
 		return nil

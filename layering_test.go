@@ -62,3 +62,15 @@ func TestPackageLayering(t *testing.T) {
 		}
 	}
 }
+
+// TestBenchModuleVets type-checks the benchmark module. bench/e2e is a
+// module of its own, so `go build ./...` and `go test ./...` here never
+// compile it; vet type-checks its test files too, so a product change that
+// breaks a name the benchmark uses fails this test.
+func TestBenchModuleVets(t *testing.T) {
+	cmd := exec.Command("go", "vet", ".")
+	cmd.Dir = "bench/e2e"
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("go vet in bench/e2e: %v\n%s", err, out)
+	}
+}
