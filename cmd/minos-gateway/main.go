@@ -1,5 +1,5 @@
 // Command minos-gateway is the web presentation gateway: it terminates
-// many concurrent browser sessions over HTTP/WebSocket/SSE and maps each
+// many concurrent browser sessions over HTTP and SSE and maps each
 // onto a workstation session multiplexed over a shared pool of backend
 // connections — a single minos-server, a -cluster fleet, or the built-in
 // demonstration corpus. Miniatures and opened-object views are served as
@@ -18,17 +18,9 @@
 // cluster map), so the same gateway fronts -shards 1 and -shards 4 fleets
 // with no other change. Without -connect it serves the built-in corpus.
 //
-// Endpoints (see internal/gateway doc.go for the full table):
-//
-//	POST /session                      open a browse session
-//	POST /session/{sid}/query?q=terms  evaluate a content query
-//	POST /session/{sid}/step?dir=next  advance the miniature cursor
-//	POST /session/{sid}/open?obj=N     present an object
-//	GET  /session/{sid}/mini/{N}.png   miniature PNG (shared cache)
-//	GET  /session/{sid}/view.png       rendered screen PNG
-//	GET  /session/{sid}/ws             WebSocket push + commands
-//	GET  /session/{sid}/events        SSE push fallback
-//	GET  /metrics                      gateway + backend counters
+// The endpoint table is the package comment of internal/gateway (http.go):
+// REST commands (session, query, step, open, progressive), PNG fetches,
+// the per-session SSE push feed and /metrics.
 package main
 
 import (

@@ -44,23 +44,8 @@
 // cmd/minos-gateway terminates web browse sessions over HTTP, mapping each
 // onto a workstation session served by a pooled backend (a single server
 // or a routed fleet — the pool is []workstation.Backend, so the choice is
-// invisible above the seam):
-//
-//	POST   /session                          open a session → {"session":id}
-//	DELETE /session/{sid}                    close the session (204)
-//	POST   /session/{sid}/query?q=terms      content query → {"hits":n}
-//	GET    /session/{sid}/query?q=query      planned query (terms plus
-//	                                         kind:/after:/before:) → {"hits":n}
-//	POST   /session/{sid}/step?dir=next|prev browse step → step event JSON
-//	POST   /session/{sid}/open?obj=N         open an object → opened event
-//	POST   /session/{sid}/progressive?obj=N  progressive miniature passes
-//	GET    /session/{sid}/mini/{obj}.png     miniature as PNG (cached encode)
-//	GET    /session/{sid}/view.png           the session screen as PNG
-//	GET    /session/{sid}/ws                 WebSocket push (steps + PNGs)
-//	GET    /session/{sid}/events             SSE fallback for the push feed
-//	GET    /metrics                          gateway counters + tagged
-//	                                         server/cluster statistics
-//
-// Busy backends and the session cap answer 503 with Retry-After; gateway
-// architecture and the Backend contract are specified in DESIGN.md §11.
+// invisible above the seam). Commands are REST calls and every push rides
+// one SSE feed per session; the endpoint table is the package comment of
+// internal/gateway (http.go), and the gateway architecture and the Backend
+// contract are specified in DESIGN.md §11.
 package minos

@@ -7,8 +7,8 @@
 // The package is layered so the serving transport is separable from the
 // session core: Hub owns sessions, admission, the encoded-PNG cache and
 // the push fan-out, and is driven directly by the E-GATE virtual-clock
-// harness (internal/loadgen); Server (http.go) straps HTTP, WebSocket and
-// SSE onto a Hub for real browsers.
+// harness (internal/loadgen); Server (http.go) straps HTTP commands and an
+// SSE push feed onto a Hub for real browsers.
 package gateway
 
 import (
@@ -99,8 +99,9 @@ type Stats struct {
 }
 
 // Event is one push to a web client: a browse step, a progressive
-// miniature pass, or an opened object. JSON goes over the WebSocket text
-// channel / SSE; PNG rides as a binary frame (or by Href fetch).
+// miniature pass, or an opened object. The JSON goes out on the session's
+// SSE feed; the client fetches the PNG by Href, except a pass's, which the
+// feed carries inline.
 type Event struct {
 	Kind   string    `json:"kind"` // "step" | "pass" | "opened"
 	Obj    object.ID `json:"obj,omitempty"`
@@ -111,8 +112,8 @@ type Event struct {
 	Usable bool      `json:"usable,omitempty"`
 	// Href is where the event's PNG can be (re)fetched.
 	Href string `json:"href,omitempty"`
-	// PNG is the event's encoded image, pushed as a binary WS frame and
-	// measured by the E-GATE harness. Not part of the JSON event.
+	// PNG is the event's encoded image, billed as push bytes (Stats and
+	// the E-GATE harness). Not part of the JSON event.
 	PNG []byte `json:"-"`
 }
 

@@ -6,10 +6,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"go/parser"
+	"go/token"
 	"io"
-	"net"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -277,105 +279,75 @@ func TestWarmPNGAllocGuard(t *testing.T) {
 	}
 }
 
-// TestGatewayWSBrowse drives a browse over the real WebSocket surface: a
-// raw TCP client upgrades, issues text commands, and receives the JSON
-// event and its binary PNG frame.
-func TestGatewayWSBrowse(t *testing.T) {
-	hub := newTestHub(t, demoBackends(t, 1))
-	ts := httptest.NewServer(NewServer(hub))
-	defer ts.Close()
-
-	sid, err := hub.Open()
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	fmt.Fprintf(conn, "GET /session/%d/ws HTTP/1.1\r\nHost: gw\r\nConnection: Upgrade\r\nUpgrade: websocket\r\nSec-WebSocket-Version: 13\r\nSec-WebSocket-Key: dGhlIHNhbXBsZSBub25jZQ==\r\n\r\n", sid)
-	br := bufio.NewReader(conn)
-	status, err := br.ReadString('\n')
-	if err != nil || !strings.Contains(status, "101") {
-		t.Fatalf("handshake status %q (%v)", status, err)
-	}
-	sawAccept := false
-	for {
-		line, err := br.ReadString('\n')
-		if err != nil {
-			t.Fatalf("handshake headers: %v", err)
-		}
-		if strings.HasPrefix(line, "Sec-WebSocket-Accept: s3pPLMBiTxaQ9kYGzzhZRbK+xOo=") {
-			sawAccept = true
-		}
-		if line == "\r\n" {
-			break
-		}
-	}
-	if !sawAccept {
-		t.Fatal("handshake missing the accept key")
-	}
-
-	mask := [4]byte{0xaa, 0xbb, 0xcc, 0xdd}
-	send := func(cmd string) {
-		if _, err := conn.Write(appendWSFrameMasked(nil, true, wsOpText, mask, []byte(cmd))); err != nil {
-			t.Fatalf("send %q: %v", cmd, err)
-		}
-	}
-	recvText := func() map[string]any {
-		op, payload := readServerFrame(t, br)
-		if op != wsOpText {
-			t.Fatalf("expected text frame, got opcode %d", op)
-		}
-		var m map[string]any
-		if err := json.Unmarshal(payload, &m); err != nil {
-			t.Fatalf("bad event JSON %q: %v", payload, err)
-		}
-		return m
-	}
-
-	send("query hospital")
-	if m := recvText(); m["kind"] != "hits" || m["hits"].(float64) == 0 {
-		t.Fatalf("query reply: %v", m)
-	}
-	send("next")
-	ev := recvText()
-	if ev["kind"] != "step" {
-		t.Fatalf("push event: %v", ev)
-	}
-	op, png := readServerFrame(t, br)
-	if op != wsOpBinary || !bytes.HasPrefix(png, []byte{0x89, 'P', 'N', 'G'}) {
-		t.Fatalf("push PNG frame: opcode %d, %d bytes", op, len(png))
-	}
-	send("bogus")
-	if m := recvText(); m["kind"] != "error" {
-		t.Fatalf("unknown command reply: %v", m)
-	}
-	// Clean close: server echoes the close frame.
-	conn.Write(appendWSFrameMasked(nil, true, wsOpClose, mask, nil))
-	if op, _ := readServerFrame(t, br); op != wsOpClose {
-		t.Fatalf("close echoed with opcode %d", op)
-	}
+// sseEvent is one event off the SSE feed: its kind line and its JSON body.
+type sseEvent struct {
+	kind string
+	Event
+	PNG []byte `json:"png"`
 }
 
-// TestGatewaySSE checks the fallback push path: a subscribed SSE client
-// sees the step event another transport triggers.
+// readSSE parses an SSE body into events; the channel closes when the
+// response ends.
+func readSSE(t *testing.T, body io.Reader) <-chan sseEvent {
+	out := make(chan sseEvent, 64)
+	go func() {
+		defer close(out)
+		sc := bufio.NewScanner(body)
+		sc.Buffer(nil, 1<<20)
+		var kind string
+		for sc.Scan() {
+			line := sc.Text()
+			if k, ok := strings.CutPrefix(line, "event: "); ok {
+				kind = k
+			} else if data, ok := strings.CutPrefix(line, "data: "); ok {
+				ev := sseEvent{kind: kind}
+				if err := json.Unmarshal([]byte(data), &ev); err != nil {
+					t.Errorf("bad event JSON %q: %v", data, err)
+					return
+				}
+				out <- ev
+			}
+		}
+	}()
+	return out
+}
+
+// TestGatewaySSE is the push contract: commands arrive as REST calls and
+// every event they emit reaches the session's SSE feed — a step and an
+// opened event whose hrefs fetch PNGs, every progressive pass with its PNG
+// inline, the last one usable — and closing the session ends the feed.
 func TestGatewaySSE(t *testing.T) {
 	hub := newTestHub(t, demoBackends(t, 1))
 	ts := httptest.NewServer(NewServer(hub))
 	defer ts.Close()
 
-	ctx := context.Background()
 	sid, err := hub.Open()
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	if _, err := hub.Query(ctx, sid, "hospital"); err != nil {
-		t.Fatalf("Query: %v", err)
+	call := func(method, path string) []byte {
+		t.Helper()
+		req, _ := http.NewRequest(method, ts.URL+path, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s %s: %v", method, path, err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode/100 != 2 {
+			t.Fatalf("%s %s: %d %s", method, path, resp.StatusCode, body)
+		}
+		return body
 	}
-	reqCtx, cancel := context.WithCancel(ctx)
+	pngMagic := []byte{0x89, 'P', 'N', 'G', '\r', '\n', 0x1a, '\n'}
+	fetchPNG := func(href string) {
+		t.Helper()
+		if data := call(http.MethodGet, href); !bytes.HasPrefix(data, pngMagic) {
+			t.Fatalf("GET %s is not a PNG", href)
+		}
+	}
+
+	reqCtx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	req, _ := http.NewRequestWithContext(reqCtx, http.MethodGet, fmt.Sprintf("%s/session/%d/events", ts.URL, sid), nil)
 	resp, err := http.DefaultClient.Do(req)
@@ -386,32 +358,92 @@ func TestGatewaySSE(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
 		t.Fatalf("content type %q", ct)
 	}
-
-	lines := make(chan string, 16)
-	go func() {
-		sc := bufio.NewScanner(resp.Body)
-		for sc.Scan() {
-			lines <- sc.Text()
-		}
-		close(lines)
-	}()
 	// The subscription is attached once the handler flushes headers, which
-	// Do has already observed; a step now must be pushed.
-	if _, err := hub.Step(ctx, sid, 1); err != nil {
-		t.Fatalf("Step: %v", err)
-	}
-	deadline := time.After(10 * time.Second)
-	for {
+	// Do has already observed: every command from here on is pushed.
+	events := readSSE(t, resp.Body)
+	next := func(kind string) sseEvent {
+		t.Helper()
+		var ev sseEvent
+		ok := false
 		select {
-		case line, ok := <-lines:
-			if !ok {
-				t.Fatal("SSE stream closed before the step event")
-			}
-			if line == "event: step" {
-				return
-			}
-		case <-deadline:
-			t.Fatal("no step event on the SSE stream within 10s")
+		case ev, ok = <-events:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("no %s event on the SSE stream within 10s", kind)
+		}
+		if !ok {
+			t.Fatalf("SSE stream closed before the %s event", kind)
+		}
+		if ev.kind != kind || ev.Kind != kind {
+			t.Fatalf("got a %q event (JSON kind %q), want %q", ev.kind, ev.Kind, kind)
+		}
+		return ev
+	}
+
+	call(http.MethodPost, fmt.Sprintf("/session/%d/query?q=hospital", sid))
+	call(http.MethodPost, fmt.Sprintf("/session/%d/step?dir=next", sid))
+	step := next("step")
+	if step.Obj == 0 || step.Href == "" || step.PNG != nil {
+		t.Fatalf("step event: %+v (inline png %d bytes)", step.Event, len(step.PNG))
+	}
+	fetchPNG(step.Href)
+
+	call(http.MethodPost, fmt.Sprintf("/session/%d/open?obj=%d", sid, step.Obj))
+	opened := next("opened")
+	if opened.Obj != step.Obj || opened.Href == "" || opened.PNG != nil {
+		t.Fatalf("opened event: %+v (inline png %d bytes)", opened.Event, len(opened.PNG))
+	}
+	fetchPNG(opened.Href)
+
+	var pp struct{ Passes int }
+	if err := json.Unmarshal(call(http.MethodPost, fmt.Sprintf("/session/%d/progressive?obj=%d", sid, step.Obj)), &pp); err != nil {
+		t.Fatalf("progressive response: %v", err)
+	}
+	if pp.Passes < 1 {
+		t.Fatalf("progressive delivered %d passes", pp.Passes)
+	}
+	for i := 1; i <= pp.Passes; i++ {
+		pass := next("pass")
+		if pass.Obj != step.Obj || pass.Pass != i || !bytes.HasPrefix(pass.PNG, pngMagic) {
+			t.Fatalf("pass %d/%d: %+v, inline png %d bytes", i, pp.Passes, pass.Event, len(pass.PNG))
+		}
+		if i == pp.Passes && !pass.Usable {
+			t.Fatalf("last pass %d not usable", i)
+		}
+	}
+
+	call(http.MethodDelete, fmt.Sprintf("/session/%d", sid))
+	select {
+	case ev, ok := <-events:
+		if ok {
+			t.Fatalf("event after DELETE: %q", ev.kind)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("SSE stream still open 10s after DELETE")
+	}
+}
+
+// TestRouteTable holds http.go's package comment to the routes NewServer
+// registers: every METHOD /path row there resolves to exactly that
+// pattern on the mux, and every registered pattern has a row.
+func TestRouteTable(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "http.go", nil, parser.PackageClauseOnly|parser.ParseComments)
+	if err != nil || f.Doc == nil {
+		t.Fatalf("http.go package comment: %v", err)
+	}
+	row := regexp.MustCompile(`(?m)^\s+(GET|POST|PUT|PATCH|DELETE)\s+(/[^\s?]*)`)
+	documented := map[string]bool{}
+	srv := NewServer(nil)
+	for _, m := range row.FindAllStringSubmatch(f.Doc.Text(), -1) {
+		pattern := m[1] + " " + m[2]
+		documented[pattern] = true
+		path := strings.NewReplacer("{sid}", "7", "{obj}", "3.png").Replace(m[2])
+		if _, got := srv.mux.Handler(httptest.NewRequest(m[1], path, nil)); got != pattern {
+			t.Errorf("documented %q resolves to registered pattern %q", pattern, got)
+		}
+	}
+	for _, rt := range srv.routes() {
+		if !documented[rt.pattern] {
+			t.Errorf("registered %q has no row in http.go's endpoint table", rt.pattern)
 		}
 	}
 }

@@ -1,27 +1,29 @@
 // HTTP transport over the Hub: the endpoint surface a browser (or the
-// in-repo test client) speaks. Browse steps and progressive passes are
-// pushed over WebSocket (ws.go) with an SSE fallback for clients that
-// cannot upgrade; PNGs are fetched by URL or pushed as binary WS frames.
+// in-repo test client) speaks. Commands are REST calls; browse steps,
+// opened objects and progressive passes are pushed over one SSE feed per
+// session, and PNGs are fetched by URL (a pass's PNG rides inline).
 //
-// Endpoints (also tabulated in the repo's doc.go):
+// Endpoints — the one table; routes declares the same rows in code and
+// TestRouteTable keeps the two equal:
 //
 //	POST   /session                     open a session        -> {"session":id}
-//	DELETE /session/{sid}               close it
+//	DELETE /session/{sid}               close it (204); ends its event feeds
 //	POST   /session/{sid}/query?q=...   content query         -> {"hits":n}
 //	GET    /session/{sid}/query?q=...   planned query (kind:/after:/before:
 //	                                    predicates allowed)   -> {"hits":n}
 //	POST   /session/{sid}/step?dir=next|prev                  -> step event JSON
 //	POST   /session/{sid}/open?obj=N    present an object     -> opened event JSON
 //	POST   /session/{sid}/progressive?obj=N  stream passes to subscribers
-//	GET    /session/{sid}/mini/{obj}.png     miniature (cached encode)
-//	GET    /session/{sid}/view.png           current screen render
-//	GET    /session/{sid}/ws            WebSocket: push + text commands
-//	GET    /session/{sid}/events        SSE push fallback
+//	                                    -> {"streamed":b,"passes":n}
+//	GET    /session/{sid}/mini/{obj}    miniature PNG, {obj} = N.png (cached encode)
+//	GET    /session/{sid}/view.png      current screen render
+//	GET    /session/{sid}/events        SSE push: step, opened and pass events
 //	GET    /metrics                     gateway + backend counters
+//
+// Busy backends and the session cap answer 503 with Retry-After.
 package gateway
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -42,19 +44,33 @@ type Server struct {
 // NewServer builds the HTTP layer over a Hub.
 func NewServer(h *Hub) *Server {
 	s := &Server{hub: h, mux: http.NewServeMux()}
-	s.mux.HandleFunc("POST /session", s.handleOpen)
-	s.mux.HandleFunc("DELETE /session/{sid}", s.handleClose)
-	s.mux.HandleFunc("POST /session/{sid}/query", s.handleQuery)
-	s.mux.HandleFunc("GET /session/{sid}/query", s.handleQueryPlanned)
-	s.mux.HandleFunc("POST /session/{sid}/step", s.handleStep)
-	s.mux.HandleFunc("POST /session/{sid}/open", s.handleOpenObject)
-	s.mux.HandleFunc("POST /session/{sid}/progressive", s.handleProgressive)
-	s.mux.HandleFunc("GET /session/{sid}/mini/{obj}", s.handleMiniPNG)
-	s.mux.HandleFunc("GET /session/{sid}/view.png", s.handleViewPNG)
-	s.mux.HandleFunc("GET /session/{sid}/ws", s.handleWS)
-	s.mux.HandleFunc("GET /session/{sid}/events", s.handleSSE)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
+	for _, rt := range s.routes() {
+		s.mux.HandleFunc(rt.pattern, rt.handle)
+	}
 	return s
+}
+
+// route is one row of the endpoint table: a ServeMux pattern and its handler.
+type route struct {
+	pattern string
+	handle  http.HandlerFunc
+}
+
+// routes is the endpoint table NewServer registers, one row per pattern.
+func (s *Server) routes() []route {
+	return []route{
+		{"POST /session", s.handleOpen},
+		{"DELETE /session/{sid}", s.handleClose},
+		{"POST /session/{sid}/query", s.handleQuery},
+		{"GET /session/{sid}/query", s.handleQueryPlanned},
+		{"POST /session/{sid}/step", s.handleStep},
+		{"POST /session/{sid}/open", s.handleOpenObject},
+		{"POST /session/{sid}/progressive", s.handleProgressive},
+		{"GET /session/{sid}/mini/{obj}", s.handleMiniPNG},
+		{"GET /session/{sid}/view.png", s.handleViewPNG},
+		{"GET /session/{sid}/events", s.handleSSE},
+		{"GET /metrics", s.handleMetrics},
+	}
 }
 
 // ServeHTTP implements http.Handler.
@@ -280,127 +296,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.hub.WriteMetrics(r.Context(), w)
 }
 
-// handleWS upgrades to WebSocket. Push events arrive as a JSON text frame
-// followed, when the event carries an image, by one binary frame with the
-// PNG. The client may drive the browse over the same socket with text
-// commands: "query <terms>", "next", "prev", "open <obj>",
-// "progressive <obj>". Command errors come back as {"kind":"error"} text
-// frames; admission sheds as {"kind":"busy"}.
-func (s *Server) handleWS(w http.ResponseWriter, r *http.Request) {
-	id, err := sid(r)
-	if err != nil {
-		http.Error(w, "bad session id", http.StatusBadRequest)
-		return
-	}
-	events, cancel, err := s.hub.Subscribe(id)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	conn, rw, err := wsHandshake(w, r)
-	if err != nil {
-		cancel()
-		return
-	}
-	ws := newWSConn(conn, rw.Reader)
-	defer conn.Close()
-	defer cancel()
-
-	// Writer: one goroutine owns pushes so event JSON and its binary PNG
-	// frame stay adjacent (wsConn serializes individual frames, not pairs).
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for ev := range events {
-			text, err := json.Marshal(ev)
-			if err != nil {
-				return
-			}
-			if err := ws.WriteMessage(wsOpText, text); err != nil {
-				return
-			}
-			if len(ev.PNG) > 0 {
-				if err := ws.WriteMessage(wsOpBinary, ev.PNG); err != nil {
-					return
-				}
-			}
-		}
-	}()
-
-	for {
-		op, payload, err := ws.ReadMessage()
-		if err != nil {
-			break
-		}
-		if op != wsOpText {
-			continue
-		}
-		if err := s.wsCommand(r.Context(), ws, id, string(payload)); err != nil {
-			break
-		}
-	}
-	cancel() // closes the events channel path; writer drains and exits
-	<-done
-}
-
-// wsCommand executes one text command from the socket. Only transport
-// failures return an error (and drop the connection); command failures are
-// reported to the client in-band.
-func (s *Server) wsCommand(ctx context.Context, ws *wsConn, id uint64, cmd string) error {
-	reply := func(v any) error {
-		text, err := json.Marshal(v)
-		if err != nil {
-			return err
-		}
-		return ws.WriteMessage(wsOpText, text)
-	}
-	fields := strings.Fields(cmd)
-	if len(fields) == 0 {
-		return nil
-	}
-	release, ok := s.hub.Admission().Admit(id)
-	if !ok {
-		return reply(map[string]string{"kind": "busy"})
-	}
-	defer release()
-	var err error
-	switch fields[0] {
-	case "query":
-		var n int
-		n, err = s.hub.Query(ctx, id, fields[1:]...)
-		if err == nil {
-			return reply(map[string]any{"kind": "hits", "hits": n})
-		}
-	case "next":
-		_, err = s.hub.Step(ctx, id, 1)
-	case "prev":
-		_, err = s.hub.Step(ctx, id, -1)
-	case "open", "progressive":
-		if len(fields) < 2 {
-			return reply(map[string]string{"kind": "error", "error": "object id required"})
-		}
-		var obj uint64
-		obj, err = strconv.ParseUint(fields[1], 10, 64)
-		if err == nil {
-			if fields[0] == "open" {
-				_, err = s.hub.OpenObject(ctx, id, object.ID(obj))
-			} else {
-				_, err = s.hub.Progressive(ctx, id, object.ID(obj))
-			}
-		}
-	default:
-		return reply(map[string]string{"kind": "error", "error": "unknown command " + fields[0]})
-	}
-	if err != nil {
-		return reply(map[string]string{"kind": "error", "error": err.Error()})
-	}
-	// Successful step/open/progressive results reach the client through
-	// the push fan-out; no direct reply needed.
-	return nil
-}
-
-// handleSSE is the push fallback for clients that cannot speak WebSocket:
-// the same JSON events as text/event-stream, PNGs by Href fetch.
+// handleSSE is the gateway's push channel: every event the session's
+// commands emit goes out as an "event: <kind>" / "data: <json>" pair. Step
+// and opened events carry an href to fetch their PNG. A pass has no URL of
+// its own — its href names the final miniature, cached only after the last
+// pass, and the miniature fetch waits on the stream's session lock — so a
+// pass event carries its PNG inline, base64 in "png".
 func (s *Server) handleSSE(w http.ResponseWriter, r *http.Request) {
 	id, err := sid(r)
 	if err != nil {
@@ -429,7 +330,14 @@ func (s *Server) handleSSE(w http.ResponseWriter, r *http.Request) {
 			if !ok {
 				return
 			}
-			text, err := json.Marshal(ev)
+			out := struct {
+				Event
+				PNG []byte `json:"png,omitempty"`
+			}{Event: ev}
+			if ev.Kind == "pass" {
+				out.PNG = ev.PNG
+			}
+			text, err := json.Marshal(out)
 			if err != nil {
 				return
 			}

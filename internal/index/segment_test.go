@@ -179,7 +179,7 @@ func ordOf(seg *Segment, id object.ID) uint32 {
 
 // TestSegmentTruncationTable feeds every prefix of a valid segment to the
 // parser: each must fail cleanly, never panic — the same discipline as the
-// cluster-map and WebSocket frame codecs.
+// cluster-map codec.
 func TestSegmentTruncationTable(t *testing.T) {
 	seg := buildTestSegment(t, 60)
 	blob := seg.Bytes()

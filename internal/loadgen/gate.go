@@ -180,7 +180,7 @@ func (s *gateSession) beginStep() {
 }
 
 // gated passes the gateway's fair-share gate, holding the slot across the
-// step's whole virtual span — exactly what the HTTP/WS transports do with
+// step's whole virtual span — exactly what the HTTP transport does with
 // wall-clock spans. Past the shed budget the step degrades (the browser
 // keeps its last frame).
 func (s *gateSession) gated(step func()) {
@@ -221,8 +221,9 @@ func (s *gateSession) complete(ev *gateway.Event, cost time.Duration) {
 	s.finishAfter(cost, rel)
 }
 
-// eventBytes is the push payload size: the JSON event on the text channel
-// plus the PNG binary frame.
+// eventBytes is the push payload size: the JSON event plus its PNG, the
+// bytes a browser takes in for the event whether the image rides inline or
+// by href fetch.
 func eventBytes(ev gateway.Event) int {
 	j, err := json.Marshal(ev)
 	if err != nil {
